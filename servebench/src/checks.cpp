@@ -42,7 +42,7 @@ struct Tally {
   void note(std::size_t c, std::uint64_t pos, const std::string& what) {
     if (mismatches++ == 0) {
       std::ostringstream line;
-      line << "connection " << c << " request " << pos << ": " << what;
+      line << "connection " << c << " frame " << pos << ": " << what;
       first = line.str();
     }
   }
@@ -54,23 +54,23 @@ struct Tally {
   }
 };
 
-/// Every served answer equals `expected(c, f)`, the reference for frame `f`
-/// of connection `c`; every status is ok.
+/// Every answered frame's first answer equals `expected(c, f)`, the
+/// reference for frame `f` of connection `c`, and its status is ok.  Walks
+/// each connection's frames in the order they were sent, so `expected` may
+/// replay them.  (A repeated frame must match its first answer; the load
+/// generator counts those that do not.)
 template <typename Expected>
 Tally compare_answers(const RunState& run, Expected expected) {
   Tally tally;
   for (std::size_t c = 0; c < kConnections; ++c) {
     const auto& answers = run.load.answers(c);
     const auto& statuses = run.load.statuses(c);
-    for (std::uint64_t pos = 0; pos < answers.size(); ++pos) {
-      const std::size_t f = pos % run.frames.length;
-      if (statuses[pos] != 0) {
-        tally.note(c, pos, "status " + std::to_string(statuses[pos]));
-        continue;
-      }
+    for (std::size_t f = 0; f < run.load.answered(c); ++f) {
       const std::optional<std::uint64_t> want = expected(c, f);
-      if (!want || *want != answers[pos]) {
-        tally.note(c, pos, "served " + std::to_string(answers[pos]));
+      if (statuses[f] != 0) {
+        tally.note(c, f, "status " + std::to_string(statuses[f]));
+      } else if (!want || *want != answers[f]) {
+        tally.note(c, f, "served " + std::to_string(answers[f]));
       }
     }
   }
@@ -79,18 +79,8 @@ Tally compare_answers(const RunState& run, Expected expected) {
 
 void check_reads(const RunState& run, std::vector<std::string>& problems) {
   fhg::engine::Engine& engine = run.stack.engine(0);
-  std::array<std::vector<std::optional<std::uint64_t>>, kConnections> cache;
-  std::array<std::vector<bool>, kConnections> known;
-  for (std::size_t c = 0; c < kConnections; ++c) {
-    cache[c].resize(run.frames.length);
-    known[c].resize(run.frames.length);
-  }
   compare_answers(run, [&](std::size_t c, std::size_t f) {
-    if (!known[c][f]) {
-      cache[c][f] = direct_answer(engine, run.frames.requests[c][f]);
-      known[c][f] = true;
-    }
-    return cache[c][f];
+    return direct_answer(engine, run.frames.requests[c][f]);
   }).report("read answers vs Engine::is_happy/next_gathering", problems);
 }
 
@@ -100,21 +90,9 @@ void check_write_mix(const RunState& run, std::vector<std::string>& problems) {
   // own order, which is all its answers depend on.
   fhg::engine::Engine twin({.shards = 64, .threads = 1});
   fhg::workload::ScenarioGenerator(run.spec).populate(twin);
-  Tally tally;
-  for (std::size_t c = 0; c < kConnections; ++c) {
-    const auto& answers = run.load.answers(c);
-    const auto& statuses = run.load.statuses(c);
-    for (std::uint64_t pos = 0; pos < answers.size(); ++pos) {
-      const std::optional<std::uint64_t> want =
-          direct_answer(twin, run.frames.requests[c][pos % run.frames.length]);
-      if (statuses[pos] != 0) {
-        tally.note(c, pos, "status " + std::to_string(statuses[pos]));
-      } else if (!want || *want != answers[pos]) {
-        tally.note(c, pos, "served " + std::to_string(answers[pos]));
-      }
-    }
-  }
-  tally.report("write-mix answers vs twin replay", problems);
+  compare_answers(run, [&](std::size_t c, std::size_t f) {
+    return direct_answer(twin, run.frames.requests[c][f]);
+  }).report("write-mix answers vs twin replay", problems);
   if (run.stack.engine(0).snapshot() != twin.snapshot()) {
     problems.push_back("write-mix: final Engine::snapshot() differs from the twin's");
   }
@@ -129,7 +107,7 @@ void check_migrate(const RunState& run, std::vector<std::string>& problems) {
   compare_answers(run, [&](std::size_t c, std::size_t f) -> std::optional<std::uint64_t> {
     const std::string name(fhg::api::routing_instance(run.frames.requests[c][f]));
     // Reads return the blob; every restore replaces a tenant B already holds.
-    return c < 2 ? fnv1a(run.blobs[index.at(name)]) : 1;
+    return c < 2 ? blob_hash(run.blobs[index.at(name)]) : 1;
   }).report("migrate answers vs source blobs", problems);
   for (std::size_t k = 0; k < run.spec.fleet; ++k) {
     std::vector<std::uint8_t> source;

@@ -19,6 +19,7 @@
 #include <string>
 
 #include "fhg/api/codec.hpp"
+#include "fhg/cluster/ring.hpp"
 #include "stats.hpp"
 
 namespace servebench {
@@ -92,12 +93,9 @@ std::uint64_t pack_mutation(std::uint64_t applied, std::uint64_t recolors,
   return (applied & 0xFFFF) | ((recolors & 0xFFFF) << 16) | (table_version << 32);
 }
 
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
-  std::uint64_t hash = 14695981039346656037ull;
-  for (const std::uint8_t byte : bytes) {
-    hash = (hash ^ byte) * 1099511628211ull;
-  }
-  return hash;
+std::uint64_t blob_hash(std::span<const std::uint8_t> bytes) {
+  return fhg::cluster::fnv1a(
+      std::string_view(reinterpret_cast<const char*>(bytes.data()), bytes.size()));
 }
 
 std::uint64_t answer_of(const fhg::api::Response& response) {
@@ -112,7 +110,7 @@ std::uint64_t answer_of(const fhg::api::Response& response) {
     return pack_mutation(r->applied, r->recolors, r->table_version);
   }
   if (const auto* r = std::get_if<SnapshotInstanceResponse>(&response.payload)) {
-    return fnv1a(r->bytes);
+    return blob_hash(r->bytes);
   }
   if (const auto* r = std::get_if<RestoreInstanceResponse>(&response.payload)) {
     return r->replaced ? 1 : 0;
@@ -122,6 +120,12 @@ std::uint64_t answer_of(const fhg::api::Response& response) {
 
 LoadGen::LoadGen(const FrameSet& frames, std::span<const std::uint16_t> ports, SpanLog* spans)
     : frames_(frames), spans_(spans) {
+  // Answers are kept per frame, not per request, so the generator's memory
+  // does not grow with the requests a run completes.
+  for (Conn& conn : conns_) {
+    conn.answers.assign(frames.length, 0);
+    conn.statuses.assign(frames.length, 0);
+  }
   // Wake the sender at its due times, not up to 50 µs later.
   (void)::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
   try {
@@ -160,6 +164,11 @@ LoadGen::~LoadGen() {
   ::close(epoll_fd_);
 }
 
+std::size_t LoadGen::answered(std::size_t c) const {
+  return static_cast<std::size_t>(
+      std::min<std::uint64_t>(conns_[c].received.load(std::memory_order_acquire), frames_.length));
+}
+
 void LoadGen::stop_receiver() {
   stopping_.store(true, std::memory_order_release);
   if (receiver_.joinable()) {
@@ -183,6 +192,9 @@ std::uint32_t LoadGen::begin_phase(bool timed, bool spans, std::size_t expected)
 void LoadGen::stage(std::size_t c, std::int64_t due_ns, std::uint32_t phase,
                     PhaseResult& result) {
   Conn& conn = conns_[c];
+  if (!frames_.repeats && conn.staged >= frames_.length) {
+    throw std::logic_error("servebench: a stream that may not repeat ran out");
+  }
   // A full ring means kRing requests are in flight: send what is staged and
   // wait for answers before reusing a slot.
   while (conn.staged - conn.received.load(std::memory_order_acquire) >= kRing) {
@@ -284,6 +296,9 @@ void LoadGen::run_window(std::uint32_t phase, std::size_t window, std::int64_t d
   for (std::size_t c = 0; c < kConnections; ++c) {
     limit[c] = per_conn == 0 ? std::numeric_limits<std::uint64_t>::max()
                              : conns_[c].staged + per_conn;
+    if (!frames_.repeats && limit[c] >= frames_.length) {
+      limit[c] = frames_.length;
+    }
   }
   while (!broken()) {
     const std::int64_t now = now_ns();
@@ -305,6 +320,7 @@ void LoadGen::run_window(std::uint32_t phase, std::size_t window, std::int64_t d
     if (staged_any) {
       flush();
     } else if (all_done) {
+      result.exhausted = per_conn == 0;
       break;
     } else {
       wait_progress(seen);
@@ -340,6 +356,11 @@ void LoadGen::finish_phase(std::uint32_t phase, PhaseResult& result) {
   result.read_ns = std::move(acc.read_ns);
   result.write_ns = std::move(acc.write_ns);
   result.slices = std::move(acc.slices);
+  // A phase that ran out of stream ends early: keep its whole slices only.
+  result.slices.resize(std::min<std::size_t>(
+      result.slices.size(),
+      static_cast<std::size_t>(std::max<std::int64_t>(0, result.end_ns - acc.slice_origin_ns) /
+                               kSliceNs)));
 }
 
 void LoadGen::receive_loop() {
@@ -416,13 +437,18 @@ void LoadGen::on_frame(std::size_t c, std::span<const std::uint8_t> frame) {
     code = static_cast<std::uint8_t>(decoded.response.status.code);
     answer = answer_of(decoded.response);
   }
-  conn.answers.push_back(answer);
-  conn.statuses.push_back(code);
+  if (pos < frames_.length) {
+    conn.answers[f] = answer;
+    conn.statuses[f] = code;
+  } else if (conn.answers[f] != answer || conn.statuses[f] != code) {
+    // Repeats happen only on read-only streams, where a frame's answer
+    // cannot change.
+    repeat_mismatches_.fetch_add(1, std::memory_order_relaxed);
+  }
 
   PhaseAcc& acc = phases_[slot.phase];
   const bool ok = code == 0;
   acc.completed += ok ? 1 : 0;
-  acc.failed += ok ? 0 : 1;
   acc.response_bytes += frame.size();
   acc.last_done_ns = done;
   if (ok && !acc.slices.empty()) {

@@ -36,9 +36,10 @@ struct PhaseResult {
   std::uint64_t response_bytes = 0;
   std::int64_t start_ns = 0;  ///< when the phase began sending
   std::int64_t end_ns = 0;    ///< when its last response arrived
-  /// Closed loop: ok completions in each `kSliceNs` slice from `start_ns`,
-  /// the last (partial) slice left out.
+  /// Closed loop: ok completions in each whole `kSliceNs` slice from
+  /// `start_ns` to `end_ns`.
   std::vector<std::uint64_t> slices;
+  bool exhausted = false;  ///< closed loop: a stream that may not repeat ran out
 };
 
 /// Width of the closed-loop completion slices.
@@ -64,18 +65,26 @@ class LoadGen {
   /// Closed loop for `seconds`, `window` requests outstanding per connection.
   PhaseResult closed_loop(double seconds, std::size_t window, bool record_spans);
 
-  /// The comparable answer (see `answer_of`) and status code at each
-  /// position of connection `c`.  Read only between phases.
+  /// The comparable answer (see `answer_of`) and status code of the first
+  /// response to each frame of connection `c`, for its first `answered(c)`
+  /// frames.  Read only between phases.
   [[nodiscard]] const std::vector<std::uint64_t>& answers(std::size_t c) const {
     return conns_[c].answers;
   }
   [[nodiscard]] const std::vector<std::uint8_t>& statuses(std::size_t c) const {
     return conns_[c].statuses;
   }
+  [[nodiscard]] std::size_t answered(std::size_t c) const;
 
   /// Responses with a wrong request id or an undecodable frame.
   [[nodiscard]] std::uint64_t protocol_errors() const {
     return protocol_errors_.load(std::memory_order_relaxed);
+  }
+
+  /// Responses to a repeated frame whose answer or status differs from the
+  /// frame's first response.
+  [[nodiscard]] std::uint64_t repeat_mismatches() const {
+    return repeat_mismatches_.load(std::memory_order_relaxed);
   }
 
   /// True once a connection was lost or a phase could not drain.
@@ -100,8 +109,8 @@ class LoadGen {
     std::atomic<std::uint64_t> published{0};  ///< slots the receiver may read
     std::atomic<std::uint64_t> received{0};   ///< responses processed
     std::vector<std::uint8_t> inbox;          ///< receiver only
-    std::vector<std::uint64_t> answers;       ///< receiver writes; read between phases
-    std::vector<std::uint8_t> statuses;       ///< receiver writes; read between phases
+    std::vector<std::uint64_t> answers;       ///< by frame; receiver writes, read between phases
+    std::vector<std::uint8_t> statuses;       ///< by frame; receiver writes, read between phases
   };
 
   /// Receiver-side totals of one phase (set up by the sender before the
@@ -110,7 +119,6 @@ class LoadGen {
     bool timed = false;
     bool spans = false;
     std::uint64_t completed = 0;
-    std::uint64_t failed = 0;
     std::uint64_t response_bytes = 0;
     std::int64_t last_done_ns = 0;
     std::int64_t slice_origin_ns = 0;
@@ -141,6 +149,7 @@ class LoadGen {
   std::condition_variable progress_cv_;
   std::atomic<std::uint64_t> progress_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
+  std::atomic<std::uint64_t> repeat_mismatches_{0};
   std::atomic<bool> lost_{false};
   std::atomic<bool> stopping_{false};
   std::thread receiver_;  ///< declared last: starts after everything it reads
@@ -155,7 +164,7 @@ class LoadGen {
 [[nodiscard]] std::uint64_t pack_mutation(std::uint64_t applied, std::uint64_t recolors,
                                           std::uint64_t table_version);
 
-/// 64-bit FNV-1a of `bytes`.
-[[nodiscard]] std::uint64_t fnv1a(std::span<const std::uint8_t> bytes);
+/// `cluster::fnv1a` of a byte blob, the comparable form of snapshot bytes.
+[[nodiscard]] std::uint64_t blob_hash(std::span<const std::uint8_t> bytes);
 
 }  // namespace servebench

@@ -34,8 +34,18 @@ namespace {
 using namespace servebench;
 
 constexpr double kOpenShare = 0.5;      ///< share of --seconds in the open-loop phase
-constexpr int kSetups = 3;              ///< set-ups per untraced run; setup_s is their median
-constexpr double kMaxLagP99Us = 50000;  ///< beyond this the generator stalled: the run is invalid
+constexpr int kSetups = 5;              ///< set-ups per untraced run; setup_s is their median
+/// Generator honesty: a run is invalid when the sender's lag at the read
+/// median or 90th percentile passes this share of the read latency it
+/// reports there.  Latency counts from due time, so the lag is part of it;
+/// below this share the figures are mostly the program's.  On the 4-CPU
+/// host where the benchmark was defined the share stayed under 0.1, even
+/// while other work on the host stretched read_p90_us 30-fold.
+constexpr double kMaxLagShare = 0.3;
+/// A lag under this is the sender's own wake-up cost (about 7 us at the
+/// median on a quiet host), never a stall, so a faster program cannot make
+/// an honest run invalid.
+constexpr double kLagFloorUs = 25.0;
 constexpr std::size_t kSpanFileLimit = 100'000;  ///< spans written to the span file
 
 struct Options {
@@ -92,16 +102,25 @@ Options parse(int argc, char** argv) {
   return options;
 }
 
-/// Peak resident set size of this process so far (VmHWM), in MB.
-double peak_rss_mb() {
+/// A memory field of /proc/self/status ("VmRSS", "VmHWM"), in MB.
+double status_mb(std::string_view field) {
   std::ifstream status("/proc/self/status");
   std::string line;
   while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return std::stod(line.substr(6)) / 1024.0;
+    if (line.size() > field.size() && line.compare(0, field.size(), field) == 0 &&
+        line[field.size()] == ':') {
+      return std::stod(line.substr(field.size() + 1)) / 1024.0;
     }
   }
   return 0.0;
+}
+
+/// Resets VmHWM to the current VmRSS; false where the kernel does not let it.
+bool reset_peak_rss() {
+  std::ofstream clear_refs("/proc/self/clear_refs");
+  clear_refs << "5";
+  clear_refs.flush();
+  return clear_refs.good();
 }
 
 /// The registries and counters the traced run reads deltas of.
@@ -167,23 +186,36 @@ double us_percentile(std::vector<std::int64_t> samples, double q) {
 }
 
 /// Closed-loop capacity: the requests completed per second in the phase's
-/// 100 ms slices, averaged over the middle half of the slices by rate, so a
-/// short stall of the host (or a lucky burst) moves it little.
+/// 100 ms slices, averaged over the slices ranked between the median and
+/// the 90th percentile.  Interference from other work on the host only ever
+/// slows a slice, so this upper band estimates what the program completes
+/// when it has the CPUs, and holds while the host is busy for up to half of
+/// the phase; the top tenth is left out as bursts.  A stall of the program
+/// itself shows in the open-loop latencies instead.
 double slice_rate(const PhaseResult& phase) {
   std::vector<double> rates;
   for (const std::uint64_t count : phase.slices) {
     rates.push_back(static_cast<double>(count) * 1e9 / static_cast<double>(kSliceNs));
   }
-  if (rates.size() < 4) {
+  if (rates.size() < 10) {
     return ratio(static_cast<double>(phase.completed), phase.seconds);
   }
   std::sort(rates.begin(), rates.end());
-  const std::size_t quarter = rates.size() / 4;
+  const std::size_t lo = rates.size() / 2;
+  const std::size_t hi = rates.size() - rates.size() / 10;
   double sum = 0;
-  for (std::size_t i = quarter; i < rates.size() - quarter; ++i) {
+  for (std::size_t i = lo; i < hi; ++i) {
     sum += rates[i];
   }
-  return sum / static_cast<double>(rates.size() - 2 * quarter);
+  return sum / static_cast<double>(hi - lo);
+}
+
+/// Quantile `q` of the closed-loop phase's slice rates, in req/s.
+double slice_quartile(const PhaseResult& phase, double q) {
+  std::vector<std::uint64_t> counts = phase.slices;
+  return counts.empty() ? 0.0
+                        : static_cast<double>(percentile_of(counts, q)) * 1e9 /
+                              static_cast<double>(kSliceNs);
 }
 
 /// Per-layer latencies, self time and the span file, from the spans the
@@ -279,6 +311,9 @@ int run(const Options& options) {
   if (options.trace) {
     spans = std::make_unique<SpanLog>(4 * open_count + 262'144);
   }
+  // The inputs are the benchmark's own memory: peak_rss_mb counts from here.
+  const bool peak_reset = reset_peak_rss();
+  const double rss_baseline_mb = status_mb("VmRSS");
 
   // Set-up: fleet build, servers listening, connections warmed.  Repeated
   // so setup_s is a median; the last stack is the one measured.
@@ -317,12 +352,14 @@ int run(const Options& options) {
   } else {
     closed = load->closed_loop(closed_seconds, def.window, false);
   }
-  const double rss_mb = peak_rss_mb();
+  const double rss_mb = status_mb("VmHWM") - rss_baseline_mb;
   const Counters after = read_counters(*stack);
 
   const std::uint64_t attempted = open.sent + closed.sent + closed_traced.sent;
   const std::uint64_t failed = open.failed + closed.failed + closed_traced.failed;
   const double throughput = slice_rate(closed);
+  const double lag_p50_us = us_percentile(open.lag_ns, 0.50);
+  const double lag_p90_us = us_percentile(open.lag_ns, 0.90);
   const double lag_p99_us = us_percentile(open.lag_ns, 0.99);
 
   // Untimed: output checks, the traced run's isolated rows, the gap audit.
@@ -330,13 +367,24 @@ int run(const Options& options) {
   if (warm.failed + failed != 0) {
     problems.push_back(std::to_string(warm.failed + failed) + " requests failed");
   }
+  if (load->repeat_mismatches() != 0) {
+    problems.push_back(std::to_string(load->repeat_mismatches()) +
+                       " repeated frames answered differently from their first time");
+  }
   if (load->protocol_errors() != 0 || load->broken()) {
     problems.push_back("load generator: " + std::to_string(load->protocol_errors()) +
                        " protocol errors" + (load->broken() ? ", connection lost" : ""));
   }
-  if (lag_p99_us > kMaxLagP99Us) {
-    problems.push_back("generator lag p99 " + json_number(lag_p99_us) + " us passes " +
-                       json_number(kMaxLagP99Us) + " us: the run is invalid");
+  const double read_p50_us = us_percentile(open.read_ns, 0.50);
+  const double read_p90_us = us_percentile(open.read_ns, 0.90);
+  const auto lag_bound = [](double latency_us) {
+    return std::max(kLagFloorUs, kMaxLagShare * latency_us);
+  };
+  if (lag_p50_us > lag_bound(read_p50_us) || lag_p90_us > lag_bound(read_p90_us)) {
+    problems.push_back("generator lag p50/p90 " + json_number(lag_p50_us) + "/" +
+                       json_number(lag_p90_us) + " us passes " + json_number(kMaxLagShare) +
+                       " of read latency p50/p90 " + json_number(read_p50_us) + "/" +
+                       json_number(read_p90_us) + " us: the run is invalid");
   }
   const RunState state{def, spec, *stack, frames, *load, blobs};
   check_outputs(state, problems);
@@ -353,8 +401,8 @@ int run(const Options& options) {
   if (!options.trace) {
     metrics = {
         {"throughput_rps", throughput, "1/s"},
-        {"read_p50_us", us_percentile(open.read_ns, 0.50), "us"},
-        {"read_p90_us", us_percentile(open.read_ns, 0.90), "us"},
+        {"read_p50_us", read_p50_us, "us"},
+        {"read_p90_us", read_p90_us, "us"},
         {"success_rate", ratio(static_cast<double>(attempted - failed),
                                static_cast<double>(attempted)), "ratio"},
         {"setup_s", median(setup_seconds), "s"},
@@ -410,6 +458,7 @@ int run(const Options& options) {
          "bytes"},
         {"core.worst_gap", static_cast<double>(audit.worst_gap), "holidays"},
         {"core.bound_violations", static_cast<double>(audit.bound_violations), "count"},
+        {"loadgen.lag_p90_us", lag_p90_us, "us"},
         {"loadgen.lag_p99_us", lag_p99_us, "us"},
         {"loadgen.sent", static_cast<double>(attempted), "count"},
         {"loadgen.completed", static_cast<double>(attempted - failed), "count"},
@@ -430,9 +479,17 @@ int run(const Options& options) {
             << " seconds=" << options.seconds << " trace=" << options.trace << '\n'
             << "  open loop: " << open.sent << " requests at " << def.open_rate_rps
             << " req/s, " << open.read_ns.size() << " read and " << open.write_ns.size()
-            << " write latency samples, lag p99 " << lag_p99_us << " us\n"
+            << " write latency samples, generator lag p50/p90/p99 " << lag_p50_us << '/'
+            << lag_p90_us << '/' << lag_p99_us << " us\n"
             << "  closed loop: " << closed.sent + closed_traced.sent << " requests, window "
-            << def.window << " x " << kConnections << " connections\n"
+            << def.window << " x " << kConnections << " connections"
+            << (closed.exhausted || closed_traced.exhausted ? ", ended early: stream ran out" : "")
+            << "\n  closed-loop 100 ms slices (req/s): q1 " << slice_quartile(closed, 0.25)
+            << ", median " << slice_quartile(closed, 0.5) << ", q3 "
+            << slice_quartile(closed, 0.75) << '\n'
+            << "  peak RSS " << rss_mb << " MB over a " << rss_baseline_mb << " MB input baseline"
+            << (peak_reset ? "" : " (VmHWM could not be reset: the peak may predate set-up)")
+            << '\n'
             << "  attempted " << attempted << ", failed " << failed << ", set-ups (s):";
   for (const double s : setup_seconds) {
     std::cout << ' ' << s;

@@ -63,7 +63,7 @@ double codec_row(const RunState& run) {
   std::vector<std::pair<const fhg::api::Request*, fhg::api::Response>> pairs;
   for (std::size_t f = 0; f < std::min<std::size_t>(run.frames.length, 1024); ++f) {
     for (std::size_t c = 0; c < kConnections; ++c) {
-      if (f < run.load.answers(c).size()) {
+      if (f < run.load.answered(c)) {
         const fhg::api::Request& request = run.frames.requests[c][f];
         pairs.emplace_back(&request, response_for(run, request, run.load.answers(c)[f]));
       }

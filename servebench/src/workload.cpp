@@ -20,7 +20,7 @@ constexpr std::size_t kEngineShards = 64;
 constexpr std::size_t kSocketWorkers = 1;
 constexpr std::size_t kWalShards = 2;
 
-// Open-loop rates are frozen.  They sit at 10-30% of the closed-loop
+// Open-loop rates are frozen.  They sit at 7-20% of the closed-loop
 // capacity measured on a quiet 4-CPU host when the benchmark was defined, so
 // the latencies reflect the stack rather than queueing, and a host that
 // slows by half mid-run still drains the schedule without refusing requests.
@@ -49,9 +49,9 @@ constexpr WorkloadDef kWorkloads[] = {
      .wal = false},
     {.name = "write-mix",
      .kind = Kind::kWriteMix,
-     .scenario = "power-law:fleet=4000,nodes=48,aperiodic=0,dynamic=1,mutation=0.2,cmds=4",
-     .open_rate_rps = 300,
-     .window = 1,
+     .scenario = "power-law:fleet=1000,nodes=48,aperiodic=0,dynamic=1,mutation=0.2,cmds=4",
+     .open_rate_rps = 2000,
+     .window = 16,
      .warmup_per_conn = 500,
      .stream_per_conn = 65536,
      .backends = 1,
@@ -60,7 +60,7 @@ constexpr WorkloadDef kWorkloads[] = {
      .wal = true},
     {.name = "migrate",
      .kind = Kind::kMigrate,
-     .scenario = "power-law:fleet=64,nodes=1024,aperiodic=0,horizon=256",
+     .scenario = "power-law:fleet=128,nodes=1024,aperiodic=0,horizon=256",
      .open_rate_rps = 200,
      .window = 2,
      .warmup_per_conn = 8,
@@ -117,6 +117,7 @@ FrameSet make_frames(const WorkloadDef& def, std::uint64_t seed, std::size_t len
   const fhg::workload::ScenarioGenerator generator(spec);
   FrameSet set;
   set.length = length;
+  set.repeats = def.kind != Kind::kWriteMix;
   switch (def.kind) {
     case Kind::kRead:
     case Kind::kReadRouted: {

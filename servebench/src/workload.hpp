@@ -45,8 +45,9 @@ struct WorkloadDef {
   double open_rate_rps;         ///< open-loop offered rate, frozen
   std::size_t window;           ///< closed-loop requests outstanding per connection
   std::size_t warmup_per_conn;  ///< untimed closed-loop requests per connection in set-up
-  /// Frames per connection before its stream repeats.  Write-mix needs a
-  /// stream no run exhausts: a repeated mutation batch is mostly a no-op.
+  /// Frames per connection before its stream repeats.  Write-mix's stream
+  /// never repeats, because a repeated mutation batch is mostly a no-op; its
+  /// closed loop ends early if a connection runs out.
   std::size_t stream_per_conn;
   std::size_t backends;         ///< engine + service + socket server stacks
   std::size_t service_shards;   ///< `ServiceOptions::shards` of each backend
@@ -76,11 +77,14 @@ using Blobs = std::vector<std::vector<std::uint8_t>>;
 [[nodiscard]] Blobs fleet_blobs(const fhg::workload::ScenarioSpec& spec);
 
 /// The pre-encoded request frames each connection sends, in order.  A
-/// connection cycles through its `length` frames; frame `f` of connection
-/// `c` carries request id `id(c, f)` and, in a traced run, the same value as
-/// its envelope trace id.
+/// connection cycles through its `length` frames if `repeats`, and stops at
+/// the end otherwise; frame `f` of connection `c` carries request id
+/// `id(c, f)` and, in a traced run, the same value as its envelope trace id.
 struct FrameSet {
   std::size_t length = 0;
+  /// True when the fleet is read-only under this traffic, so a repeated
+  /// frame must get its first answer again.
+  bool repeats = true;
   std::array<std::vector<std::vector<std::uint8_t>>, kConnections> frames;
   std::array<std::vector<fhg::api::Request>, kConnections> requests;
   std::array<std::size_t, kConnections> target{};  ///< stack target each connection dials

@@ -6,7 +6,10 @@
 #include <cmath>
 #include <vector>
 
+#include "fhg/api/codec.hpp"
+#include "fhg/api/socket.hpp"
 #include "layers.hpp"
+#include "loadgen.hpp"
 #include "stats.hpp"
 #include "workload.hpp"
 
@@ -114,6 +117,60 @@ TEST(TimedWalSink, ForwardsEveryCallOnce) {
   EXPECT_EQ(inner.lifecycles, 1);
   EXPECT_EQ(timed.stats().appends, 9u);
   EXPECT_EQ(log.spans().size(), 1u);
+}
+
+/// Answers IsHappy with `holiday` odd, at once.
+class ParityHandler final : public fhg::api::Handler {
+ public:
+  void handle(fhg::api::Request request, fhg::api::ResponseCallback done) override {
+    handle(std::move(request), fhg::api::RequestContext{}, std::move(done));
+  }
+  void handle(fhg::api::Request request, const fhg::api::RequestContext&,
+              fhg::api::ResponseCallback done) override {
+    const auto& probe = std::get<fhg::api::IsHappyRequest>(request);
+    done(fhg::api::Response{{}, fhg::api::IsHappyResponse{probe.holiday % 2 == 1}});
+  }
+};
+
+FrameSet parity_frames(std::size_t length, bool repeats) {
+  FrameSet set;
+  set.length = length;
+  set.repeats = repeats;
+  for (std::size_t c = 0; c < kConnections; ++c) {
+    for (std::size_t f = 0; f < length; ++f) {
+      set.requests[c].push_back(fhg::api::IsHappyRequest{"t", 0, c + f});
+      set.frames[c].push_back(fhg::api::encode_request(set.id(c, f), set.requests[c][f]));
+    }
+  }
+  return set;
+}
+
+TEST(LoadGen, KeepsOneAnswerPerFrameAndStopsAStreamThatMayNotRepeat) {
+  ParityHandler handler;
+  fhg::api::SocketServer server(handler, fhg::api::SocketServerOptions{.workers = 1});
+  const std::uint16_t port = server.port();
+  for (const bool repeats : {true, false}) {
+    const FrameSet frames = parity_frames(8, repeats);
+    LoadGen load(frames, std::span<const std::uint16_t>(&port, 1), nullptr);
+    const PhaseResult warm = load.warm_up(5, 2);
+    const PhaseResult closed = load.closed_loop(0.3, 2, false);
+    EXPECT_EQ(warm.failed + closed.failed, 0u);
+    EXPECT_EQ(closed.exhausted, !repeats);
+    if (!repeats) {
+      EXPECT_EQ(warm.sent + closed.sent, 8 * kConnections);  // never past the end
+    } else {
+      EXPECT_GT(warm.sent + closed.sent, 8 * kConnections);  // wrapped around
+    }
+    EXPECT_EQ(load.repeat_mismatches(), 0u);
+    for (std::size_t c = 0; c < kConnections; ++c) {
+      ASSERT_EQ(load.answered(c), 8u);
+      ASSERT_EQ(load.answers(c).size(), 8u);  // per frame, however many were sent
+      for (std::size_t f = 0; f < 8; ++f) {
+        EXPECT_EQ(load.answers(c)[f], (c + f) % 2) << c << ' ' << f;
+      }
+    }
+  }
+  server.stop();
 }
 
 TEST(SpanLog, KeepsCapacityAndCountsTheRest) {
