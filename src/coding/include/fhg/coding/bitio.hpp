@@ -12,6 +12,13 @@
 /// format (`fhg/engine/snapshot.hpp`) and the `fhg::api` request/response
 /// wire codec (`fhg/api/codec.hpp`) are built on this pair.
 ///
+/// Both directions work a 64-bit word at a time.  The writer emits an
+/// integer as at most two shifted words: `γ(len)` and the low `len - 1`
+/// bits of `value + 1`, where `len = bit_width(value + 1)`.  The reader
+/// peeks a 64-bit window (zero-padded past the end of the input, never read
+/// beyond it), finds the `γ` prefix with `std::countl_zero`, and checks the
+/// whole codeword against the input length once per integer.
+///
 /// Decoding is defensive by construction: reading past the end of the input
 /// throws `std::runtime_error` (never reads out of bounds), and
 /// `remaining_bits()` lets format layers sanity-check decoded length fields
@@ -29,22 +36,30 @@ class BitWriter {
  public:
   /// Appends one bit.
   void put_bit(bool b);
-  /// Appends the low `width` bits of `v`, MSB first.
+  /// Appends the low `width` bits of `v`, MSB first.  Throws
+  /// `std::invalid_argument` when `width > 64`.
   void put_bits(std::uint64_t v, std::uint32_t width);
-  /// Appends the Elias delta code of `v + 1` (any `v < 2^64 - 1`).
+  /// Appends the Elias delta code of `v + 1`.  Requires `v < 2^64 - 1`;
+  /// throws `std::invalid_argument` for `v == 2^64 - 1`.
   void put_uint(std::uint64_t v);
   /// Zero-pads to the next byte boundary (no-op when already aligned).
-  void align() noexcept { bit_pos_ = 0; }
+  void align() noexcept;
   /// Aligns to a byte boundary, then appends `bytes` verbatim — the bulk
-  /// path for strings and blobs (memcpy speed instead of 8 `put_bit` calls
-  /// per byte).
+  /// path for strings and blobs.
   void put_bytes(std::span<const std::uint8_t> bytes);
   /// Zero-pads to a byte boundary and returns the buffer.
   [[nodiscard]] std::vector<std::uint8_t> finish();
 
  private:
+  /// The output so far is `bytes_[0, len_)` and then the `acc_bits_` (< 64)
+  /// leading bits of `acc_`; the rest of `acc_` is zero.  `put_bits` and
+  /// `align` store a whole word at `len_`, so `put_bits` first grows
+  /// `bytes_` to at least `len_ + 16` (room for its store and the next
+  /// `align`'s); `put_bytes` and `finish` trim it back to `len_`.
   std::vector<std::uint8_t> bytes_;
-  std::uint32_t bit_pos_ = 0;  ///< bits used in the last byte (0 = full)
+  std::size_t len_ = 0;
+  std::uint64_t acc_ = 0;
+  std::uint32_t acc_bits_ = 0;
 };
 
 /// Mirror of `BitWriter`.  Throws `std::runtime_error` on truncated input.
@@ -55,9 +70,13 @@ class BitReader {
 
   /// Consumes one bit.
   [[nodiscard]] bool get_bit();
-  /// Consumes `width` bits, MSB first.
+  /// Consumes `width` bits, MSB first.  Throws `std::invalid_argument` when
+  /// `width > 64`.
   [[nodiscard]] std::uint64_t get_bits(std::uint32_t width);
   /// Consumes one Elias-delta codeword and returns the coded value minus 1.
+  /// One bounds check covers the whole codeword.  Throws
+  /// `std::runtime_error` when the input ends inside it, and when it codes a
+  /// value above 64 bits (a zero run over 63, or a length field over 64).
   [[nodiscard]] std::uint64_t get_uint();
   /// Skips to the next byte boundary (no-op when already aligned).
   void align() noexcept { next_bit_ = (next_bit_ + 7) / 8 * 8; }
@@ -72,6 +91,10 @@ class BitReader {
   }
 
  private:
+  /// The 8 bytes from byte `at` as a big-endian word; bytes past the end of
+  /// the input read as zero (and are never touched).
+  [[nodiscard]] std::uint64_t load(std::size_t at) const noexcept;
+
   std::span<const std::uint8_t> bytes_;
   std::size_t next_bit_ = 0;
 };

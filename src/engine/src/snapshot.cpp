@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "fhg/coding/bitstring.hpp"
-
 namespace fhg::engine {
 
 namespace detail {

@@ -20,12 +20,17 @@
 #include "fhg/obs/registry.hpp"
 #include "fhg/obs/trace.hpp"
 
+#include "api_examples.hpp"
+
 namespace fa = fhg::api;
 namespace fc = fhg::coding;
 namespace fd = fhg::dynamic;
 namespace fe = fhg::engine;
 
 namespace {
+
+using fa::testing::all_request_kinds;
+using fa::testing::all_response_kinds;
 
 /// Wraps raw payload bytes in a frame header (magic + big-endian length).
 std::vector<std::uint8_t> frame_of(const std::vector<std::uint8_t>& payload,
@@ -42,107 +47,6 @@ std::vector<std::uint8_t> frame_of(const std::vector<std::uint8_t>& payload,
   }
   frame.insert(frame.end(), payload.begin(), payload.end());
   return frame;
-}
-
-/// One representative of every request kind, with non-default fields.
-std::vector<fa::Request> all_request_kinds() {
-  fe::InstanceSpec spec;
-  spec.kind = fe::SchedulerKind::kWeighted;
-  spec.code = fhg::coding::CodeFamily::kEliasDelta;
-  spec.seed = 99;
-  spec.slack = 3;
-  spec.periods = {4, 8, 16};
-  return {
-      fa::IsHappyRequest{"acme", 7, 123456789},
-      fa::NextGatheringRequest{"acme", 3, 42},
-      fa::ApplyMutationsRequest{"dyn",
-                                {fd::insert_edge_command(1, 5), fd::erase_edge_command(2, 3),
-                                 fd::add_node_command()}},
-      fa::CreateInstanceRequest{"fresh", 6, {{0, 1}, {1, 2}, {4, 5}}, spec},
-      fa::EraseInstanceRequest{"gone"},
-      fa::ListInstancesRequest{},
-      fa::SnapshotRequest{},
-      fa::RestoreRequest{{0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x42}},
-      fa::GetStatsRequest{.include_histograms = false, .include_traces = true},
-      fa::RecoverInfoRequest{},
-      fa::HelloRequest{},
-      fa::SnapshotInstanceRequest{"acme"},
-      fa::RestoreInstanceRequest{"acme", {0xFE, 0xED, 0x00, 0x17}},
-      fa::DrainBackendRequest{"backend-2"},
-  };
-}
-
-/// One representative of every response payload kind (plus error statuses).
-std::vector<fa::Response> all_response_kinds() {
-  fa::ListInstancesResponse list;
-  list.instances.push_back(fa::InstanceInfo{.name = "acme",
-                                            .kind = fe::SchedulerKind::kDegreeBound,
-                                            .nodes = 48,
-                                            .periodic = true,
-                                            .dynamic = false});
-  list.instances.push_back(fa::InstanceInfo{.name = "dyn",
-                                            .kind = fe::SchedulerKind::kDynamicPrefixCode,
-                                            .nodes = 9,
-                                            .periodic = true,
-                                            .dynamic = true});
-  const auto success = [](fa::ResponsePayload payload) {
-    fa::Response response;
-    response.payload = std::move(payload);
-    return response;
-  };
-  std::vector<fa::Response> responses;
-  responses.push_back(success(fa::IsHappyResponse{true}));
-  responses.push_back(success(fa::NextGatheringResponse{1024}));
-  responses.push_back(success(fa::ApplyMutationsResponse{3, 2, 7}));
-  responses.push_back(success(fa::CreateInstanceResponse{}));
-  responses.push_back(success(fa::EraseInstanceResponse{}));
-  responses.push_back(success(std::move(list)));
-  responses.push_back(success(fa::SnapshotResponse{{1, 2, 3, 255, 0}}));
-  responses.push_back(success(fa::RestoreResponse{512}));
-  fa::GetStatsResponse stats;
-  stats.metrics.push_back(fhg::obs::MetricSample{.name = "fhg_engine_queries_total",
-                                                 .kind = fhg::obs::MetricKind::kCounter,
-                                                 .value = 12345});
-  stats.metrics.push_back(fhg::obs::MetricSample{.name = "fhg_engine_nodes",
-                                                 .kind = fhg::obs::MetricKind::kGauge,
-                                                 .value = static_cast<std::uint64_t>(-42)});
-  fhg::obs::Histogram latency;
-  latency.record(0);
-  latency.record(17);
-  latency.record(1u << 19);  // saturates the top bucket
-  stats.metrics.push_back(fhg::obs::MetricSample{.name = "fhg_service_latency_us{shard=\"1\"}",
-                                                 .kind = fhg::obs::MetricKind::kHistogram,
-                                                 .value = latency.total(),
-                                                 .histogram = latency});
-  stats.traces.push_back(fhg::obs::TraceSample{.trace_id = 7001,
-                                               .request_id = 31,
-                                               .kind = 0,
-                                               .queue_us = 12,
-                                               .serve_us = 90,
-                                               .total_us = 102});
-  responses.push_back(success(std::move(stats)));
-  responses.push_back(success(fa::RecoverInfoResponse{.wal_enabled = true,
-                                                      .last_durable_holiday = 4096,
-                                                      .wal_bytes = 8192,
-                                                      .segments = 4,
-                                                      .appends = 17,
-                                                      .fsyncs = 17,
-                                                      .compactions = 2,
-                                                      .replayed_batches = 5,
-                                                      .replayed_commands = 40,
-                                                      .skipped_batches = 1,
-                                                      .torn_bytes = 13,
-                                                      .durable_batches = 23}));
-  responses.push_back(success(fa::HelloResponse{
-      .backend = "backend-0", .min_version = fa::kMinSupportedVersion,
-      .max_version = fa::kProtocolVersion}));
-  responses.push_back(success(fa::SnapshotInstanceResponse{{9, 8, 7, 0, 255}}));
-  responses.push_back(success(fa::RestoreInstanceResponse{true}));
-  responses.push_back(success(fa::DrainBackendResponse{5}));
-  responses.push_back(fa::Response::error(fa::StatusCode::kNotFound, "no instance named 'x'"));
-  responses.push_back(fa::Response::error(fa::StatusCode::kQueueFull,
-                                          "the owning shard's queue is at capacity"));
-  return responses;
 }
 
 }  // namespace

@@ -332,23 +332,7 @@ TEST(Executor, StepAllMatchesSequentialStepping) {
 
 // -------------------------------------------------------------- Snapshot ----
 
-TEST(Snapshot, BitCodecRoundTrips) {
-  fe::BitWriter w;
-  w.put_bits(0xA5, 8);
-  w.put_uint(0);
-  w.put_uint(1);
-  w.put_uint(123456789);
-  const auto bytes = w.finish();
-  fe::BitReader r(bytes);
-  EXPECT_EQ(r.get_bits(8), 0xA5U);
-  EXPECT_EQ(r.get_uint(), 0U);
-  EXPECT_EQ(r.get_uint(), 1U);
-  EXPECT_EQ(r.get_uint(), 123456789U);
-}
-
 TEST(Snapshot, TruncatedInputThrows) {
-  fe::BitReader r(std::span<const std::uint8_t>{});
-  EXPECT_THROW((void)r.get_bit(), std::runtime_error);
   fe::InstanceRegistry registry(2);
   const std::vector<std::uint8_t> garbage{0x00, 0x01, 0x02};
   EXPECT_THROW(fe::restore_registry(registry, garbage), std::runtime_error);
