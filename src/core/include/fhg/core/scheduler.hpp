@@ -42,6 +42,11 @@ class Scheduler {
   /// The conflict graph being scheduled.
   [[nodiscard]] virtual const graph::Graph& graph() const noexcept = 0;
 
+  /// Number of nodes being scheduled.  Defaults to `graph().num_nodes()`;
+  /// schedulers whose `graph()` is materialized on demand override it so
+  /// that counting nodes never builds the graph.
+  [[nodiscard]] virtual graph::NodeId num_nodes() const noexcept { return graph().num_nodes(); }
+
   /// Advances to the next holiday and returns its happy set, sorted
   /// ascending.  The first call yields holiday 1.  Every returned set is an
   /// independent set of `graph()` (audited by `ScheduleAuditor`).

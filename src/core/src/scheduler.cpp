@@ -10,7 +10,7 @@ std::vector<PeriodPhaseRow> Scheduler::period_phase_rows() const {
   if (!perfectly_periodic()) {
     return {};
   }
-  const graph::NodeId n = graph().num_nodes();
+  const graph::NodeId n = num_nodes();
   std::vector<PeriodPhaseRow> rows(n);
   for (graph::NodeId v = 0; v < n; ++v) {
     const auto period = period_of(v);

@@ -80,9 +80,19 @@ class DynamicSchedulerAdapter final : public core::Scheduler {
 
   [[nodiscard]] std::string name() const override { return "dynamic-prefix-code"; }
 
-  /// CSR snapshot of the *current* topology (refreshed after every mutation;
-  /// grows under `kAddNode`).
-  [[nodiscard]] const graph::Graph& graph() const noexcept override { return current_; }
+  /// CSR copy of the *current* topology (grows under `kAddNode`), built on
+  /// demand by the first call after a topology change and dropped by the
+  /// next change — serving never pays for it, only audits do.  Not
+  /// thread-safe: the first call writes the cache, so callers serialize
+  /// against each other and against mutations (the engine's `Instance`
+  /// calls it under its instance lock).  The reference is invalidated by
+  /// the next mutation.
+  [[nodiscard]] const graph::Graph& graph() const noexcept override;
+
+  /// The live node count, read from the mutable topology (no CSR build).
+  [[nodiscard]] graph::NodeId num_nodes() const noexcept override {
+    return dynamic_.num_nodes();
+  }
 
   [[nodiscard]] std::vector<graph::NodeId> next_holiday() override {
     return scheduler_.next_holiday();
@@ -126,11 +136,11 @@ class DynamicSchedulerAdapter final : public core::Scheduler {
   /// Throws `std::invalid_argument` on out-of-range endpoints or self-loops.
   ApplyResult apply(MutationCommand cmd, bool restamp = true);
 
-  /// Applies a batch in order (stamping each with the current holiday) and
-  /// refreshes the topology snapshot once.  Batches of at least
-  /// `bulk_threshold` commands (when the threshold is nonzero) take the bulk
-  /// path: topology first, then one parallel Jones–Plassmann repair over the
-  /// affected nodes; smaller batches recolor per command as before.  The
+  /// Applies a batch in order (stamping each with the current holiday).
+  /// Batches of at least `bulk_threshold` commands (when the threshold is
+  /// nonzero) take the bulk path: topology first, then one parallel
+  /// Jones–Plassmann repair over the affected nodes; smaller batches recolor
+  /// per command as before.  The
   /// whole batch is validated *before* anything applies, so a malformed
   /// command throws `std::invalid_argument` with the topology, log, and
   /// schedule untouched — never half-applied.  Which path ran is recorded in
@@ -190,7 +200,9 @@ class DynamicSchedulerAdapter final : public core::Scheduler {
   graph::DynamicGraph dynamic_;   ///< live topology (must precede scheduler_)
   DynamicPrefixCodeScheduler scheduler_;
   std::uint32_t bulk_threshold_ = 0;
-  graph::Graph current_;          ///< CSR cache of dynamic_, kept fresh
+  /// CSR cache of dynamic_ for `graph()`; empty until asked for, reset by
+  /// every topology change.
+  mutable std::optional<graph::Graph> current_;
   std::vector<MutationCommand> log_;
   std::vector<BatchRecord> batches_;  ///< how log_ divides into applied batches
   std::uint64_t version_ = 0;

@@ -55,9 +55,6 @@ struct BulkOutcome {
   std::size_t recolored = 0;
   /// Rounds/conflicts of the Jones–Plassmann repair pass.
   coloring::JpStats jp;
-  /// CSR snapshot of the post-batch topology — handed to the caller so the
-  /// adapter's cached snapshot does not have to be rebuilt a second time.
-  graph::Graph topology;
 };
 
 /// The §4 scheduler running over a mutable conflict graph.

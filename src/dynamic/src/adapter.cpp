@@ -8,21 +8,25 @@ namespace fhg::dynamic {
 DynamicSchedulerAdapter::DynamicSchedulerAdapter(const graph::Graph& initial,
                                                  coding::CodeFamily family,
                                                  std::uint32_t deletion_slack)
-    : dynamic_(initial),
-      scheduler_(dynamic_, family, deletion_slack),
-      current_(initial) {}
+    : dynamic_(initial), scheduler_(dynamic_, family, deletion_slack) {}
 
 DynamicSchedulerAdapter::DynamicSchedulerAdapter(const graph::Graph& initial,
                                                  const DynamicOptions& options)
     : dynamic_(initial),
       scheduler_(dynamic_, options.family, options.deletion_slack, options.parallel_crossover,
                  options.jp_seed),
-      bulk_threshold_(options.bulk_threshold),
-      current_(initial) {}
+      bulk_threshold_(options.bulk_threshold) {}
+
+const graph::Graph& DynamicSchedulerAdapter::graph() const noexcept {
+  if (!current_) {
+    current_ = dynamic_.snapshot();
+  }
+  return *current_;
+}
 
 std::vector<core::PeriodPhaseRow> DynamicSchedulerAdapter::period_phase_rows() const {
-  std::vector<core::PeriodPhaseRow> rows(current_.num_nodes());
-  for (graph::NodeId v = 0; v < current_.num_nodes(); ++v) {
+  std::vector<core::PeriodPhaseRow> rows(dynamic_.num_nodes());
+  for (graph::NodeId v = 0; v < dynamic_.num_nodes(); ++v) {
     const coding::ScheduleSlot slot = scheduler_.slot_of(v);
     rows[v] = {slot.period(), slot.first_holiday()};
   }
@@ -66,7 +70,7 @@ ApplyResult DynamicSchedulerAdapter::apply(MutationCommand cmd, bool restamp) {
     log_.push_back(cmd);
     batches_.push_back({1, false});
     ++version_;
-    current_ = dynamic_.snapshot();
+    current_.reset();
   }
   return result;
 }
@@ -97,7 +101,7 @@ BatchResult DynamicSchedulerAdapter::apply_bulk(std::span<const MutationCommand>
   BatchResult result;
   result.bulk = true;
   const std::uint64_t now = scheduler_.current_holiday();
-  BulkOutcome outcome = scheduler_.bulk_apply(commands);
+  const BulkOutcome outcome = scheduler_.bulk_apply(commands);
   result.jp = outcome.jp;
   for (std::size_t i = 0; i < commands.size(); ++i) {
     if (outcome.applied[i] == 0) {
@@ -113,7 +117,7 @@ BatchResult DynamicSchedulerAdapter::apply_bulk(std::span<const MutationCommand>
   }
   if (result.applied > 0) {
     batches_.push_back({static_cast<std::uint32_t>(result.applied), true});
-    current_ = std::move(outcome.topology);
+    current_.reset();
   }
   return result;
 }
@@ -137,7 +141,7 @@ BatchResult DynamicSchedulerAdapter::apply_batch(std::span<const MutationCommand
   }
   if (result.applied > 0) {
     batches_.push_back({static_cast<std::uint32_t>(result.applied), false});
-    current_ = dynamic_.snapshot();
+    current_.reset();
   }
   return result;
 }
@@ -187,8 +191,7 @@ void DynamicSchedulerAdapter::replay_log(std::span<const MutationCommand> log,
       offset += record.size;
     }
   }
-  // One CSR refresh for the whole log, not one per command.
-  current_ = dynamic_.snapshot();
+  current_.reset();
 }
 
 BatchResult DynamicSchedulerAdapter::replay_batch(std::span<const MutationCommand> commands,
@@ -219,7 +222,7 @@ BatchResult DynamicSchedulerAdapter::replay_batch(std::span<const MutationComman
     }
     if (result.applied > 0) {
       batches_.push_back({static_cast<std::uint32_t>(result.applied), false});
-      current_ = dynamic_.snapshot();
+      current_.reset();
     }
   }
   // Every logged command applied once on the live path and must apply again:

@@ -207,10 +207,10 @@ BulkOutcome DynamicPrefixCodeScheduler::bulk_apply(std::span<const MutationComma
 
   // Phase 3 — one parallel repair pass against the fixed boundary colors,
   // then slots and history in ascending node order.
-  out.topology = graph_->snapshot();
+  const graph::Graph topology = graph_->snapshot();
   coloring::JpOptions options;
   options.seed = jp_seed_;
-  coloring::parallel_jp_recolor(out.topology, colors_, targets, options, &out.jp);
+  coloring::parallel_jp_recolor(topology, colors_, targets, options, &out.jp);
   for (const graph::NodeId v : targets) {
     refresh_slot(v);
     if (cause[v] == 3) {

@@ -114,22 +114,24 @@ class Engine {
   /// Applies a batch of live topology mutations to a dynamic tenant
   /// (`SchedulerKind::kDynamicPrefixCode`): edges appear/dissolve and nodes
   /// join *in place*, recoloring per §6 instead of erasing and recreating
-  /// the tenant.  The instance republishes its period table at a new version
-  /// and, when anything actually changed, the registry epoch moves so the
-  /// next `query_snapshot()` call rebuilds the lock-free view — snapshots
-  /// taken earlier keep answering at their own (older) schedule version.
-  /// Throws `std::out_of_range` for an unknown instance, `std::logic_error`
-  /// for a non-dynamic one.
+  /// the tenant.  The instance republishes its period table at a new
+  /// version; the registry epoch does not move and no query view is
+  /// rebuilt.  Every `QuerySnapshot` — the current one and any held from
+  /// before the batch — reads a dynamic tenant's table through its
+  /// `Instance`, so the next batch run against it answers at the new
+  /// version.  Throws `std::out_of_range` for an unknown instance,
+  /// `std::logic_error` for a non-dynamic one.
   MutationResult apply_mutations(std::string_view instance,
                                  std::span<const dynamic::MutationCommand> commands);
 
   /// WAL-recovery entry point: re-applies one durable batch to a (typically
   /// just-restored) tenant through the routing path its record names,
-  /// keeping the persisted holiday stamps.  Moves the registry epoch and
-  /// records the same mutation telemetry as `apply_mutations`, but never
-  /// calls the attached sink — the batch is already durable.  Throws
-  /// `std::out_of_range` for an unknown instance, `std::logic_error` for a
-  /// non-dynamic one, `std::runtime_error` on log/state divergence.
+  /// keeping the persisted holiday stamps.  Records the same mutation
+  /// telemetry as `apply_mutations` (and, like it, leaves the registry
+  /// epoch alone), but never calls the attached sink — the batch is already
+  /// durable.  Throws `std::out_of_range` for an unknown instance,
+  /// `std::logic_error` for a non-dynamic one, `std::runtime_error` on
+  /// log/state divergence.
   MutationResult wal_replay_batch(std::string_view instance,
                                   std::span<const dynamic::MutationCommand> commands,
                                   dynamic::BatchRecord record);
@@ -147,12 +149,15 @@ class Engine {
     return wal_.load(std::memory_order_acquire);
   }
 
-  /// The current lock-free query view: an immutable snapshot of the fleet,
-  /// rebuilt only when instances have been created or erased since the last
-  /// call.  After warm-up this is one atomic load + one epoch check.  The
-  /// returned snapshot stays valid (and answers consistently) however the
-  /// registry changes afterwards — resolve probe ids and run batches against
-  /// the same snapshot.
+  /// The current lock-free query view: an immutable snapshot of the
+  /// fleet's membership, rebuilt only when instances have been created,
+  /// erased, adopted or restored since the last call — never by a mutation
+  /// batch.  After warm-up this is one atomic load + one epoch check.  The
+  /// returned snapshot stays valid however the registry changes afterwards:
+  /// its ids keep naming the tenants it captured (resolve probe ids and run
+  /// batches against the same snapshot), static tenants answer from the
+  /// tables it captured, and dynamic tenants answer at their latest
+  /// published table version.
   [[nodiscard]] std::shared_ptr<const QuerySnapshot> query_snapshot();
 
   /// Batched membership: `result[i] = is_happy` for each (instance, family,
@@ -252,7 +257,8 @@ class Engine {
   BatchExecutor executor_;
   /// Published query view (epoch/seqlock style): readers do a lock-free
   /// atomic load; the rebuild after a membership change is serialized by
-  /// `view_mutex_` and re-validated against the registry epoch.
+  /// `view_mutex_` and re-validated against the registry epoch.  Table
+  /// changes never reach here (see `QuerySnapshot`).
   std::atomic<std::shared_ptr<const QuerySnapshot>> view_{nullptr};
   std::mutex view_mutex_;
 };

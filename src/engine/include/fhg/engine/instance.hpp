@@ -18,11 +18,11 @@
 /// dimension: `apply_mutations` recolors the live topology **in place** and
 /// republishes the period table at a new version.  The table is held behind
 /// an atomic `shared_ptr`, so lock-free readers either see the old table or
-/// the new one — never a torn or freed table — and a `QuerySnapshot` holding
-/// the old table keeps answering consistently at its own epoch.  The
-/// instance records every applied command in a mutation log; `recipe graph +
-/// spec + log` fully determines the schedule, which is what the v2 snapshot
-/// format persists.
+/// the new one — never a torn or freed table.  A `QuerySnapshot` loads a
+/// dynamic tenant's table from here once per instance run, so it answers at
+/// the latest version without being rebuilt.  The instance records every
+/// applied command in a mutation log; `recipe graph + spec + log` fully
+/// determines the schedule, which is what the v2 snapshot format persists.
 ///
 /// Stepping, mutations, and aperiodic queries mutate scheduler state and are
 /// serialized by a per-instance mutex, so the `BatchExecutor` can advance
@@ -117,8 +117,9 @@ class Instance {
   /// and content-interned: instances with identical schedules share one
   /// table.  Dynamic tenants republish a *new* table after each mutation
   /// batch; holding the returned `shared_ptr` keeps the old version alive
-  /// (and consistent) for as long as a reader needs it — `QuerySnapshot`
-  /// relies on exactly that.
+  /// (and consistent) for as long as a reader needs it — `QuerySnapshot`'s
+  /// batch kernels hold one per instance run and bound every probe of the
+  /// run by that version's `num_nodes()`.
   [[nodiscard]] std::shared_ptr<const PeriodTable> period_table_shared() const noexcept {
     return table();
   }
@@ -165,9 +166,9 @@ class Instance {
   /// A throwing sink leaves the table at the pre-batch version (see
   /// `wal_sink.hpp` for the full contract).
   ///
-  /// Private because republishing obliges the registry epoch to move (or
-  /// `Engine::query_snapshot` would keep serving the old table version);
-  /// `Engine::apply_mutations` is the entry point that maintains both.
+  /// Private because `Engine::apply_mutations` is the entry point: it
+  /// hands the batch its attached WAL sink and records the mutation
+  /// telemetry.  Neither it nor this call moves the registry epoch.
  private:
   friend class Engine;
   /// Snapshot restore's private-access shim (defined in snapshot.cpp): the

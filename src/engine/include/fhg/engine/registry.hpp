@@ -57,20 +57,15 @@ class InstanceRegistry {
 
   [[nodiscard]] std::size_t num_shards() const noexcept { return shards_.size(); }
 
-  /// Monotonic change counter: bumped by every successful create/erase/clear
-  /// and by every in-place mutation batch (`note_mutation`).  A
+  /// Monotonic *membership* counter: bumped by every successful
+  /// create/insert/erase/clear, and by nothing else — a dynamic tenant's
+  /// mutation batch republishes its own table without moving it.  A
   /// `QuerySnapshot` stamps the epoch it was built at, so readers can detect
-  /// staleness with one relaxed atomic load instead of walking the shards.
+  /// a changed tenant set with one relaxed atomic load instead of walking
+  /// the shards.
   [[nodiscard]] std::uint64_t epoch() const noexcept {
     return epoch_.load(std::memory_order_acquire);
   }
-
-  /// Records that an instance changed *in place* (a dynamic tenant applied a
-  /// mutation batch and republished its period table).  Membership is
-  /// untouched, but any `QuerySnapshot` built before this call now serves
-  /// the tenant's previous schedule version, so the epoch must move for the
-  /// engine to republish its view.
-  void note_mutation() noexcept { epoch_.fetch_add(1, std::memory_order_acq_rel); }
 
   /// All instances of one shard (shared ownership, unspecified order).
   [[nodiscard]] std::vector<std::shared_ptr<Instance>> shard_instances(std::size_t shard) const;

@@ -138,9 +138,6 @@ MutationResult Engine::apply_mutations(std::string_view instance,
                                        std::span<const dynamic::MutationCommand> commands) {
   const auto start = std::chrono::steady_clock::now();
   const MutationResult result = require(instance)->apply_mutations(commands, wal_sink());
-  if (result.applied > 0) {
-    registry_.note_mutation();  // stale snapshots must be republished
-  }
   telemetry_.mutation_batches.increment();
   telemetry_.mutation_commands.add(commands.size());
   telemetry_.recolors.add(result.recolors);
@@ -160,9 +157,6 @@ MutationResult Engine::wal_replay_batch(std::string_view instance,
                                         dynamic::BatchRecord record) {
   const auto start = std::chrono::steady_clock::now();
   const MutationResult result = require(instance)->wal_replay_batch(commands, record);
-  if (result.applied > 0) {
-    registry_.note_mutation();
-  }
   telemetry_.mutation_batches.increment();
   telemetry_.mutation_commands.add(commands.size());
   telemetry_.recolors.add(result.recolors);

@@ -14,7 +14,7 @@ std::optional<PeriodTable> PeriodTable::build(const core::Scheduler& s) {
     return std::nullopt;
   }
   const std::vector<core::PeriodPhaseRow> rows = s.period_phase_rows();
-  if (rows.size() != s.graph().num_nodes()) {
+  if (rows.size() != s.num_nodes()) {
     return std::nullopt;  // some node lacks an exposed (period, phase)
   }
   const std::size_t n = rows.size();

@@ -12,19 +12,22 @@ std::shared_ptr<const QuerySnapshot> QuerySnapshot::build(const InstanceRegistry
   auto snapshot = std::shared_ptr<QuerySnapshot>(new QuerySnapshot());
   snapshot->epoch_ = epoch;
   snapshot->instances_ = registry.all_sorted();
-  snapshot->names_.reserve(snapshot->instances_.size());
-  snapshot->tables_.reserve(snapshot->instances_.size());
-  snapshot->num_nodes_.reserve(snapshot->instances_.size());
-  snapshot->ids_.reserve(snapshot->instances_.size());
+  const std::size_t n = snapshot->instances_.size();
+  snapshot->names_.reserve(n);
+  snapshot->tables_.reserve(n);
+  snapshot->dynamic_.reserve(n);
+  snapshot->num_nodes_.reserve(n);
+  snapshot->ids_.reserve(n);
   for (const auto& instance : snapshot->instances_) {
     snapshot->names_.push_back(instance->name());
     snapshot->ids_.emplace(snapshot->names_.back(),
                            static_cast<std::uint32_t>(snapshot->names_.size() - 1));
-    snapshot->tables_.push_back(instance->period_table_shared());
-    // Derive the probe-validation bound from the captured table itself, so a
-    // mutation batch racing this build cannot let a probe index past the
-    // version we actually hold.  Aperiodic tenants are never dynamic; their
-    // recipe graph is immutable.
+    const bool dynamic = instance->dynamic();
+    snapshot->dynamic_.push_back(dynamic ? 1 : 0);
+    // Dynamic tenants republish in place, so their table (and node count)
+    // is read through the instance at query time instead.  Aperiodic
+    // tenants are never dynamic; their recipe graph is immutable.
+    snapshot->tables_.push_back(dynamic ? nullptr : instance->period_table_shared());
     const auto& table = snapshot->tables_.back();
     snapshot->num_nodes_.push_back(table ? table->num_nodes() : instance->graph().num_nodes());
   }
@@ -39,6 +42,11 @@ std::optional<std::uint32_t> QuerySnapshot::id_of(std::string_view name) const {
   return it->second;
 }
 
+void QuerySnapshot::throw_bad_node(std::uint32_t id, graph::NodeId node) const {
+  throw std::out_of_range("QuerySnapshot: probe node " + std::to_string(node) +
+                          " out of range for instance '" + std::string(names_[id]) + "'");
+}
+
 std::vector<std::uint32_t> QuerySnapshot::sorted_order(std::span<const Probe> probes) const {
   const auto n = static_cast<std::uint32_t>(instances_.size());
   // Histogram pass doubles as validation, so the kernels index unchecked.
@@ -48,10 +56,8 @@ std::vector<std::uint32_t> QuerySnapshot::sorted_order(std::span<const Probe> pr
       throw std::out_of_range("QuerySnapshot: probe instance " + std::to_string(probe.instance) +
                               " out of range (snapshot holds " + std::to_string(n) + ")");
     }
-    if (probe.node >= num_nodes_[probe.instance]) {
-      throw std::out_of_range("QuerySnapshot: probe node " + std::to_string(probe.node) +
-                              " out of range for instance '" + std::string(names_[probe.instance]) +
-                              "'");
+    if (dynamic_[probe.instance] == 0 && probe.node >= num_nodes_[probe.instance]) {
+      throw_bad_node(probe.instance, probe.node);
     }
     ++counts[probe.instance + 1];
   }
@@ -65,10 +71,9 @@ std::vector<std::uint32_t> QuerySnapshot::sorted_order(std::span<const Probe> pr
   return order;
 }
 
-void QuerySnapshot::query_batch(std::span<const Probe> probes, std::span<std::uint8_t> out) const {
-  if (out.size() < probes.size()) {
-    throw std::invalid_argument("QuerySnapshot::query_batch: output span too small");
-  }
+template <typename OnTable, typename OnInstance>
+void QuerySnapshot::for_each_run(std::span<const Probe> probes, OnTable on_table,
+                                 OnInstance on_instance) const {
   const std::vector<std::uint32_t> order = sorted_order(probes);
   std::size_t i = 0;
   while (i < order.size()) {
@@ -78,20 +83,47 @@ void QuerySnapshot::query_batch(std::span<const Probe> probes, std::span<std::ui
     while (end < order.size() && probes[order[end]].instance == id) {
       ++end;
     }
-    if (const PeriodTable* table = tables_[id].get()) {
+    std::shared_ptr<const PeriodTable> held;
+    const PeriodTable* table = tables_[id].get();
+    if (dynamic_[id] != 0) {
+      // One load per run: the whole run answers from this version, and the
+      // bound comes from it too, so a batch republishing concurrently can
+      // never let a probe index past the table actually held.
+      held = instances_[id]->period_table_shared();
+      table = held.get();
+      const graph::NodeId bound = table ? table->num_nodes() : 0;
       for (std::size_t k = i; k < end; ++k) {
-        const Probe& probe = probes[order[k]];
-        out[order[k]] = table->is_happy(probe.node, probe.holiday) ? 1 : 0;
+        if (probes[order[k]].node >= bound) {
+          throw_bad_node(id, probes[order[k]].node);
+        }
+      }
+    }
+    if (table != nullptr) {
+      for (std::size_t k = i; k < end; ++k) {
+        on_table(*table, probes[order[k]], order[k]);
       }
     } else {
       Instance& instance = *instances_[id];
       for (std::size_t k = i; k < end; ++k) {
-        const Probe& probe = probes[order[k]];
-        out[order[k]] = instance.is_happy(probe.node, probe.holiday) ? 1 : 0;
+        on_instance(instance, probes[order[k]], order[k]);
       }
     }
     i = end;
   }
+}
+
+void QuerySnapshot::query_batch(std::span<const Probe> probes, std::span<std::uint8_t> out) const {
+  if (out.size() < probes.size()) {
+    throw std::invalid_argument("QuerySnapshot::query_batch: output span too small");
+  }
+  for_each_run(
+      probes,
+      [out](const PeriodTable& table, const Probe& probe, std::uint32_t k) {
+        out[k] = table.is_happy(probe.node, probe.holiday) ? 1 : 0;
+      },
+      [out](Instance& instance, const Probe& probe, std::uint32_t k) {
+        out[k] = instance.is_happy(probe.node, probe.holiday) ? 1 : 0;
+      });
 }
 
 void QuerySnapshot::next_gathering_batch(std::span<const Probe> probes,
@@ -99,28 +131,14 @@ void QuerySnapshot::next_gathering_batch(std::span<const Probe> probes,
   if (out.size() < probes.size()) {
     throw std::invalid_argument("QuerySnapshot::next_gathering_batch: output span too small");
   }
-  const std::vector<std::uint32_t> order = sorted_order(probes);
-  std::size_t i = 0;
-  while (i < order.size()) {
-    const std::uint32_t id = probes[order[i]].instance;
-    std::size_t end = i;
-    while (end < order.size() && probes[order[end]].instance == id) {
-      ++end;
-    }
-    if (const PeriodTable* table = tables_[id].get()) {
-      for (std::size_t k = i; k < end; ++k) {
-        const Probe& probe = probes[order[k]];
-        out[order[k]] = table->next_gathering(probe.node, probe.holiday);
-      }
-    } else {
-      Instance& instance = *instances_[id];
-      for (std::size_t k = i; k < end; ++k) {
-        const Probe& probe = probes[order[k]];
-        out[order[k]] = instance.next_gathering(probe.node, probe.holiday).value_or(kNoGathering);
-      }
-    }
-    i = end;
-  }
+  for_each_run(
+      probes,
+      [out](const PeriodTable& table, const Probe& probe, std::uint32_t k) {
+        out[k] = table.next_gathering(probe.node, probe.holiday);
+      },
+      [out](Instance& instance, const Probe& probe, std::uint32_t k) {
+        out[k] = instance.next_gathering(probe.node, probe.holiday).value_or(kNoGathering);
+      });
 }
 
 }  // namespace fhg::engine

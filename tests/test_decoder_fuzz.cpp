@@ -5,11 +5,22 @@
 // of it.  Every input fed to `decode_request`, `decode_response` and
 // `restore_instance` must decode or fail typed, never crash or read out of
 // bounds (the sanitizer build runs this suite like any other).
+//
+// The replay paths get the same treatment: whole dynamic-fleet snapshots
+// (mutation logs and batch records, bulk segments included) fed to
+// `restore_registry`, and write-ahead-log segment files damaged the same
+// three ways and recovered into a fresh engine.
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <cstdint>
 #include <exception>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <memory>
 #include <random>
 #include <span>
 #include <stdexcept>
@@ -19,14 +30,22 @@
 #include "fhg/api/codec.hpp"
 #include "fhg/api/status.hpp"
 #include "fhg/engine/engine.hpp"
+#include "fhg/dynamic/mutation.hpp"
+#include "fhg/engine/registry.hpp"
 #include "fhg/engine/snapshot.hpp"
+#include "fhg/graph/graph.hpp"
+#include "fhg/wal/wal.hpp"
 #include "fhg/workload/scenario.hpp"
 
 #include "api_examples.hpp"
 
 namespace fa = fhg::api;
+namespace fdy = fhg::dynamic;
 namespace fe = fhg::engine;
+namespace fg = fhg::graph;
 namespace fw = fhg::workload;
+namespace fwal = fhg::wal;
+namespace stdfs = std::filesystem;
 
 namespace {
 
@@ -56,6 +75,66 @@ Bytes migrate_blob() {
   Bytes blob;
   EXPECT_TRUE(engine.snapshot_instance(tenant.name, blob).ok());
   return blob;
+}
+
+/// A fully dynamic fleet with mutation history: scenario tenants after
+/// three mutation rounds, plus one tenant whose low bulk threshold puts a
+/// bulk segment in its batch records.
+std::unique_ptr<fe::Engine> dynamic_fleet() {
+  const auto spec =
+      fw::parse_scenario("power-law:fleet=10,nodes=32,aperiodic=0,dynamic=1,mutation=0.5,cmds=6");
+  const fw::ScenarioGenerator generator(*spec);
+  auto engine = std::make_unique<fe::Engine>(fe::EngineOptions{.shards = 2, .threads = 1});
+  generator.populate(*engine);
+  fe::InstanceSpec bulky;
+  bulky.kind = fe::SchedulerKind::kDynamicPrefixCode;
+  bulky.bulk_threshold = 4;
+  (void)engine->create_instance("bulky", fg::Graph(16), bulky);
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    engine->step_all(11);
+    (void)generator.mutation_round(*engine, round);
+    (void)engine->apply_mutations(
+        "bulky", std::vector{fdy::insert_edge_command(1, 2 + round), fdy::add_node_command(),
+                             fdy::insert_edge_command(3, 4 + round),
+                             fdy::insert_edge_command(5, 6 + round),
+                             fdy::erase_edge_command(1, 2 + round)});
+    (void)engine->apply_mutations("bulky", std::vector{fdy::insert_edge_command(0, 9)});
+  }
+  return engine;
+}
+
+/// A mkdtemp-owned scratch directory, removed on scope exit.
+class TempDir {
+ public:
+  TempDir() {
+    std::string tmpl = (stdfs::temp_directory_path() / "fhg-fuzz-XXXXXX").string();
+    if (::mkdtemp(tmpl.data()) == nullptr) {
+      throw std::runtime_error("mkdtemp failed for " + tmpl);
+    }
+    path_ = tmpl;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    stdfs::remove_all(path_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+ private:
+  std::string path_;
+};
+
+Bytes read_file(const stdfs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_file(const stdfs::path& path, const Bytes& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
 }
 
 /// A seeded mutant of `base`: 1–4 bit flips, a truncation, or a splice with
@@ -161,4 +240,100 @@ TEST(DecoderFuzz, MutatedInstanceBlobsFailTyped) {
                                               "blob mutant " + std::to_string(i));
   }
   EXPECT_GT(accepted, 0);  // some flips land in values, not structure
+}
+
+TEST(DecoderFuzz, MutatedDynamicFleetSnapshotsFailTyped) {
+  const Bytes fleet = dynamic_fleet()->snapshot();
+  {
+    fe::InstanceRegistry registry(2);
+    fe::restore_registry(registry, fleet);  // the seed restores
+    EXPECT_EQ(fe::snapshot_registry(registry), fleet);
+  }
+  const std::vector<Bytes> frames = frame_corpus();
+  std::mt19937_64 rng(3511);
+  int accepted = 0;
+  for (int i = 0; i < 1500; ++i) {
+    const Bytes& other = rng() % 2 == 0 ? fleet : frames[rng() % frames.size()];
+    const Bytes input = mutate(fleet, other, rng);
+    fe::InstanceRegistry registry(2);
+    try {
+      fe::restore_registry(registry, input);
+      ++accepted;
+      // What restored must serialize again (the replayed state is whole).
+      (void)fe::snapshot_registry(registry);
+    } catch (const std::runtime_error&) {
+      // the typed failure
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "fleet mutant " << i << ": restore_registry threw a non-runtime_error: "
+                    << e.what();
+    }
+  }
+  EXPECT_GT(accepted, 0);  // some flips land in values, not structure
+}
+
+TEST(DecoderFuzz, MutatedWalSegmentsRecoverOrFailTyped) {
+  // A base snapshot plus two shards of segments holding per-command and
+  // bulk batches, written by a live engine.
+  TempDir base;
+  {
+    auto engine = dynamic_fleet();
+    fwal::Manager manager(*engine, {.dir = base.path(), .shards = 2, .fsync_every = 0});
+    (void)manager.recover();
+    manager.compact();
+    engine->attach_wal(&manager);
+    const auto spec =
+        fw::parse_scenario("power-law:fleet=10,nodes=32,aperiodic=0,dynamic=1,mutation=0.5,cmds=6");
+    const fw::ScenarioGenerator generator(*spec);
+    for (std::uint64_t round = 3; round < 6; ++round) {
+      engine->step_all(5);
+      (void)generator.mutation_round(*engine, round);
+      (void)engine->apply_mutations(
+          "bulky", std::vector{fdy::add_node_command(), fdy::insert_edge_command(19, round),
+                               fdy::insert_edge_command(7, 8 + round),
+                               fdy::insert_edge_command(9, 12 + round)});
+    }
+    engine->attach_wal(nullptr);
+  }
+  std::vector<stdfs::path> names;
+  std::vector<Bytes> files;
+  for (const auto& entry : stdfs::directory_iterator(base.path())) {
+    names.push_back(entry.path().filename());
+    files.push_back(read_file(entry.path()));
+  }
+  std::vector<std::size_t> segments;
+  for (std::size_t f = 0; f < names.size(); ++f) {
+    if (names[f].string().ends_with(".log")) {
+      segments.push_back(f);
+    }
+  }
+  ASSERT_GE(segments.size(), 2U);
+
+  std::mt19937_64 rng(4093);
+  int recovered = 0;
+  for (int i = 0; i < 300; ++i) {
+    TempDir scratch;
+    const std::size_t victim = segments[rng() % segments.size()];
+    const std::size_t partner = segments[rng() % segments.size()];
+    for (std::size_t f = 0; f < names.size(); ++f) {
+      write_file(stdfs::path(scratch.path()) / names[f],
+                 f == victim ? mutate(files[f], files[partner], rng) : files[f]);
+    }
+    fe::Engine engine({.shards = 2, .threads = 1});
+    try {
+      fwal::Manager manager(engine, {.dir = scratch.path(), .shards = 2, .fsync_every = 0});
+      (void)manager.recover();
+      ++recovered;
+      // The replayed tenants round-trip: recovery left a whole state.
+      const Bytes state = engine.snapshot();
+      fe::InstanceRegistry again(2);
+      fe::restore_registry(again, state);
+      EXPECT_EQ(fe::snapshot_registry(again), state) << "segment mutant " << i;
+    } catch (const std::runtime_error&) {
+      // the typed failure (std::system_error included)
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "segment mutant " << i << ": recover threw a non-runtime_error: "
+                    << e.what();
+    }
+  }
+  EXPECT_GT(recovered, 0);  // torn tails truncate and recover
 }

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "fhg/dynamic/adapter.hpp"
 #include "fhg/dynamic/dynamic_scheduler.hpp"
 #include "fhg/dynamic/mutation.hpp"
@@ -320,6 +322,37 @@ TEST(DynamicAdapter, LogsOnlyAppliedCommandsAndStamps) {
     EXPECT_EQ(cmd.holiday, 5U);  // stamped with the holiday they landed at
   }
   EXPECT_EQ(adapter.graph().num_nodes(), 5U);  // live topology grew
+}
+
+TEST(DynamicAdapter, GraphFollowsEveryTopologyChange) {
+  // `graph()` is built on demand and must never serve a topology a later
+  // mutation changed — on every mutation path, bulk and replay included.
+  fdy::DynamicOptions options;
+  options.bulk_threshold = 3;
+  fdy::DynamicSchedulerAdapter adapter(fg::Graph(6), options);
+  const auto expect_graph = [&adapter](std::size_t nodes, std::size_t edges) {
+    EXPECT_EQ(adapter.num_nodes(), nodes);
+    EXPECT_EQ(adapter.graph().num_nodes(), nodes);
+    EXPECT_EQ(adapter.graph().num_edges(), edges);
+  };
+  expect_graph(6, 0);
+  (void)adapter.apply(fdy::insert_edge_command(0, 1));
+  expect_graph(6, 1);
+  EXPECT_TRUE(adapter.graph().has_edge(0, 1));
+  (void)adapter.apply_batch(std::vector{fdy::add_node_command(), fdy::insert_edge_command(6, 2)});
+  expect_graph(7, 2);
+  EXPECT_TRUE(adapter.graph().has_edge(2, 6));
+  const auto bulk = adapter.apply_batch(std::vector{
+      fdy::erase_edge_command(0, 1), fdy::insert_edge_command(3, 4), fdy::add_node_command()});
+  EXPECT_TRUE(bulk.bulk);
+  expect_graph(8, 2);
+  EXPECT_FALSE(adapter.graph().has_edge(0, 1));
+  EXPECT_TRUE(adapter.graph().has_edge(3, 4));
+  std::vector<fdy::MutationCommand> replayed{fdy::insert_edge_command(5, 7)};
+  replayed[0].holiday = adapter.current_holiday();
+  (void)adapter.replay_batch(replayed, {1, false});
+  expect_graph(8, 3);
+  EXPECT_TRUE(adapter.graph().has_edge(5, 7));
 }
 
 TEST(DynamicAdapter, LogReplayReproducesScheduleExactly) {

@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "fhg/core/prefix_code_scheduler.hpp"
@@ -445,7 +449,14 @@ TEST(EngineMutation, DynamicTenantServesAcrossRecolor) {
   (void)eng.step_all(8);
 
   const auto before = eng.query_snapshot();
-  const bool before_0_happy_16 = eng.is_happy("dyn", 0, 16);
+  const std::uint64_t epoch_before = eng.registry().epoch();
+  // Pre-mutation answers over a window wide enough to see the recolor.
+  std::vector<std::uint8_t> pre;
+  for (fg::NodeId v = 0; v < 4; ++v) {
+    for (std::uint64_t t = 1; t <= 64; ++t) {
+      pre.push_back(eng.is_happy("dyn", v, t) ? 1 : 0);
+    }
+  }
 
   const std::vector<fdy::MutationCommand> cmds{fdy::insert_edge_command(0, 1)};
   const auto result = eng.apply_mutations("dyn", cmds);
@@ -454,14 +465,32 @@ TEST(EngineMutation, DynamicTenantServesAcrossRecolor) {
   EXPECT_EQ(result.table_version, 1U);
   EXPECT_EQ(handle->table_version(), 1U);
 
-  // The registry epoch moved, so the engine republishes its lock-free view;
-  // the old snapshot keeps answering at its own (pre-mutation) version.
+  // A table change moves no epoch and rebuilds no view: the view held
+  // across the batch is the current one, and it answers at the
+  // post-mutation version — exactly what the engine answers now.
+  EXPECT_EQ(eng.registry().epoch(), epoch_before);
   const auto after = eng.query_snapshot();
-  EXPECT_NE(before.get(), after.get());
-  fe::Probe probe{0, 0, 16};
-  std::uint8_t old_answer = 0;
-  before->query_batch(std::span(&probe, 1), std::span(&old_answer, 1));
-  EXPECT_EQ(old_answer != 0, before_0_happy_16);
+  EXPECT_EQ(before.get(), after.get());
+  std::vector<fe::Probe> probes;
+  for (fg::NodeId v = 0; v < 4; ++v) {
+    for (std::uint64_t t = 1; t <= 64; ++t) {
+      probes.push_back({*before->id_of("dyn"), v, t});
+    }
+  }
+  std::vector<std::uint8_t> held(probes.size());
+  before->query_batch(probes, held);
+  std::vector<std::uint64_t> held_next(probes.size());
+  before->next_gathering_batch(probes, held_next);
+  bool changed = false;
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    const auto& p = probes[i];
+    EXPECT_EQ(held[i] != 0, eng.is_happy("dyn", p.node, p.holiday))
+        << "node " << p.node << " holiday " << p.holiday;
+    EXPECT_EQ(held_next[i], eng.next_gathering("dyn", p.node, p.holiday).value_or(0))
+        << "node " << p.node << " after " << p.holiday;
+    changed |= held[i] != pre[i];
+  }
+  EXPECT_TRUE(changed) << "the recolor must change some served answer";
 
   // Ground truth: step the tenant onward and compare every produced happy
   // set against the served answers — across the recolor boundary.
@@ -524,6 +553,179 @@ TEST(EngineMutation, AddNodeGrowsServedTenant) {
   const auto next = eng.next_gathering("dyn", 6, 0);
   ASSERT_TRUE(next.has_value());
   EXPECT_TRUE(eng.is_happy("dyn", 6, *next));
+}
+
+TEST(EngineMutation, HeldViewAnswersRacingBatchesAtPublishedVersions) {
+  // Writers apply batches (each adds a node) to one dynamic tenant while
+  // readers run both batch kernels on a view taken before any of them,
+  // probing up to the live node count.  Each batch run must be answered
+  // from exactly one published table version, and a probe whose node
+  // exists must never be rejected.
+  fe::Engine eng({.shards = 2, .threads = 1});
+  const fg::Graph recipe = fg::cycle(12);
+  (void)eng.create_instance("dyn", recipe, spec_of(fe::SchedulerKind::kDynamicPrefixCode));
+  (void)eng.create_instance("static", fg::cycle(9), spec_of(fe::SchedulerKind::kPrefixCode));
+  const auto handle = eng.find("dyn");
+  const auto view = eng.query_snapshot();
+  const std::uint32_t dyn = *view->id_of("dyn");
+  const std::uint32_t fixed = *view->id_of("static");
+
+  constexpr int kWriters = 2;
+  constexpr int kBatches = 40;  // per writer
+  constexpr int kReaders = 2;
+  constexpr std::size_t kMaxRecorded = 1500;  // observations kept per reader
+  struct Observation {
+    std::vector<fe::Probe> probes;
+    std::vector<std::uint64_t> answers;
+    bool membership = true;
+  };
+  std::atomic<int> readers_ready{0};
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<std::uint64_t> rejected{0};
+  std::vector<std::vector<Observation>> seen(kReaders);
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      fhg::parallel::Rng rng(100 + static_cast<std::uint64_t>(r));
+      readers_ready.fetch_add(1);  // writers start once every reader runs
+      bool membership = true;
+      do {
+        const fg::NodeId n = view->num_nodes(dyn);
+        Observation obs;
+        obs.membership = membership;
+        for (int i = 0; i < 24; ++i) {
+          obs.probes.push_back({dyn, static_cast<fg::NodeId>(rng.uniform_below(n)),
+                                1 + rng.uniform_below(400)});
+        }
+        for (int i = 0; i < 4; ++i) {
+          obs.probes.push_back({fixed, static_cast<fg::NodeId>(rng.uniform_below(9)),
+                                1 + rng.uniform_below(400)});
+        }
+        obs.answers.assign(obs.probes.size(), 0);
+        try {
+          if (membership) {
+            std::vector<std::uint8_t> out(obs.probes.size());
+            view->query_batch(obs.probes, out);
+            std::copy(out.begin(), out.end(), obs.answers.begin());
+          } else {
+            view->next_gathering_batch(obs.probes, obs.answers);
+          }
+        } catch (const std::out_of_range&) {
+          rejected.fetch_add(1);
+          continue;
+        }
+        if (seen[r].size() < kMaxRecorded) {
+          seen[r].push_back(std::move(obs));
+        }
+        membership = !membership;
+      } while (writers_left.load() > 0);
+    });
+  }
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      fhg::parallel::Rng rng(7 + static_cast<std::uint64_t>(w));
+      while (readers_ready.load() < kReaders) {
+        std::this_thread::yield();
+      }
+      for (int b = 0; b < kBatches; ++b) {
+        const fg::NodeId n = handle->num_nodes();  // nodes only ever grow
+        std::vector<fdy::MutationCommand> cmds{fdy::add_node_command()};
+        for (int e = 0; e < 3; ++e) {
+          const auto u = static_cast<fg::NodeId>(rng.uniform_below(n));
+          const auto v = static_cast<fg::NodeId>(rng.uniform_below(n));
+          if (u != v) {
+            cmds.push_back(rng.uniform_below(4) == 0 ? fdy::erase_edge_command(u, v)
+                                                     : fdy::insert_edge_command(u, v));
+          }
+        }
+        cmds.push_back(fdy::insert_edge_command(n, static_cast<fg::NodeId>(rng.uniform_below(n))));
+        (void)eng.apply_mutations("dyn", cmds);
+        std::this_thread::yield();
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(rejected.load(), 0U) << "a probe on an existing node was rejected";
+  EXPECT_EQ(handle->table_version(), static_cast<std::uint64_t>(kWriters * kBatches));
+  EXPECT_EQ(eng.query_snapshot().get(), view.get());  // no batch rebuilt the view
+
+  // Every published version, rebuilt by replaying the tenant's batches over
+  // its recipe on a fresh engine.
+  fe::Engine replay({.shards = 1, .threads = 1});
+  (void)replay.create_instance("dyn", recipe, spec_of(fe::SchedulerKind::kDynamicPrefixCode));
+  const auto replayed = replay.find("dyn");
+  std::vector<std::shared_ptr<const fe::PeriodTable>> versions{replayed->period_table_shared()};
+  const fe::Instance::PersistedState state = handle->persisted_state();
+  std::size_t offset = 0;
+  for (const fdy::BatchRecord& record : state.batches) {
+    (void)replay.wal_replay_batch(
+        "dyn", std::span(state.log).subspan(offset, record.size), record);
+    offset += record.size;
+    versions.push_back(replayed->period_table_shared());
+  }
+  ASSERT_EQ(versions.size(), static_cast<std::size_t>(kWriters * kBatches + 1));
+  EXPECT_EQ(*versions.back(), *handle->period_table_shared());
+
+  std::size_t checked = 0;
+  for (const auto& observations : seen) {
+    for (const Observation& obs : observations) {
+      bool matched = false;
+      for (const auto& table : versions) {
+        bool all = true;
+        for (std::size_t i = 0; i < obs.probes.size() && all; ++i) {
+          const fe::Probe& p = obs.probes[i];
+          if (p.instance != dyn) {
+            continue;
+          }
+          if (p.node >= table->num_nodes()) {
+            all = false;
+          } else if (obs.membership) {
+            all = (obs.answers[i] != 0) == table->is_happy(p.node, p.holiday);
+          } else {
+            all = obs.answers[i] == table->next_gathering(p.node, p.holiday);
+          }
+        }
+        matched |= all;
+      }
+      EXPECT_TRUE(matched) << "a batch run matched no single published version";
+      for (std::size_t i = 0; i < obs.probes.size(); ++i) {
+        const fe::Probe& p = obs.probes[i];
+        if (p.instance == fixed) {
+          EXPECT_EQ(obs.answers[i],
+                    obs.membership ? std::uint64_t{eng.is_happy("static", p.node, p.holiday)}
+                                   : *eng.next_gathering("static", p.node, p.holiday));
+        }
+      }
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0U);
+
+  // Once the writers are done the held view answers at the final version,
+  // bounds dynamic probes by the live count, and rejects the first id past
+  // it from both kernels.
+  const fg::NodeId live = handle->num_nodes();
+  EXPECT_EQ(view->num_nodes(dyn), live);
+  std::vector<fe::Probe> last;
+  for (fg::NodeId v = 0; v < live; ++v) {
+    last.push_back({dyn, v, 1 + v % 97});
+  }
+  std::vector<std::uint8_t> member(last.size());
+  std::vector<std::uint64_t> next(last.size());
+  view->query_batch(last, member);
+  view->next_gathering_batch(last, next);
+  for (std::size_t i = 0; i < last.size(); ++i) {
+    EXPECT_EQ(member[i] != 0, versions.back()->is_happy(last[i].node, last[i].holiday));
+    EXPECT_EQ(next[i], versions.back()->next_gathering(last[i].node, last[i].holiday));
+  }
+  const std::vector<fe::Probe> past{{dyn, live, 1}};
+  std::uint8_t member_out = 0;
+  std::uint64_t next_out = 0;
+  EXPECT_THROW(view->query_batch(past, std::span(&member_out, 1)), std::out_of_range);
+  EXPECT_THROW(view->next_gathering_batch(past, std::span(&next_out, 1)), std::out_of_range);
 }
 
 TEST(SnapshotV2, MidLogRestoreIsByteIdentical) {

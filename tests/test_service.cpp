@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -16,6 +17,7 @@
 #include <thread>
 #include <tuple>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "fhg/api/protocol.hpp"
@@ -261,6 +263,43 @@ TEST(Service, MutationSerializesAgainstQueriesOnOneShard) {
   EXPECT_EQ(engine->find("dyn")->mutation_log().size(),
             twin->find("dyn")->mutation_log().size());
   EXPECT_EQ(service.metrics().totals().mutations, 2u);
+}
+
+TEST(Service, ReadsOwnAddNodeThroughHandle) {
+  // One connection's frames, pipelined through `handle` without waiting:
+  // a read primes the query view, then a batch adds a node (and marries it
+  // to node 0, forcing a recolor), then both reads ask about the new node.
+  // The view is not rebuilt by the batch, so the reads must see the node
+  // through the live bound — ok, and equal to a direct engine call.
+  auto engine = make_dynamic_single();
+  fs::Service service(*engine, {.shards = 2});
+  const fg::NodeId fresh = engine->find("dyn")->num_nodes();
+  std::vector<fa::Request> frames;
+  frames.emplace_back(fa::IsHappyRequest{"dyn", 0, 5});
+  frames.emplace_back(fa::ApplyMutationsRequest{
+      "dyn", {fd::add_node_command(), fd::insert_edge_command(fresh, 0)}});
+  frames.emplace_back(fa::IsHappyRequest{"dyn", fresh, 40});
+  frames.emplace_back(fa::NextGatheringRequest{"dyn", fresh, 40});
+  std::vector<std::promise<fa::Response>> done(frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    service.handle(std::move(frames[i]),
+                   [&done, i](fa::Response response) { done[i].set_value(std::move(response)); });
+  }
+  std::vector<fa::Response> responses;
+  for (auto& promise : done) {
+    responses.push_back(promise.get_future().get());
+  }
+  for (const fa::Response& response : responses) {
+    ASSERT_TRUE(response.ok()) << response.status.detail;
+  }
+  const auto& mutation = std::get<fa::ApplyMutationsResponse>(responses[1].payload);
+  EXPECT_EQ(mutation.applied, 2u);
+  EXPECT_EQ(engine->find("dyn")->num_nodes(), fresh + 1);
+  EXPECT_EQ(std::get<fa::IsHappyResponse>(responses[2].payload).happy,
+            engine->is_happy("dyn", fresh, 40));
+  const auto next = engine->next_gathering("dyn", fresh, 40);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(std::get<fa::NextGatheringResponse>(responses[3].payload).holiday, *next);
 }
 
 TEST(Service, MutatingNonDynamicInstanceFailsTyped) {
