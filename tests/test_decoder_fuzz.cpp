@@ -13,14 +13,10 @@
 
 #include <gtest/gtest.h>
 
-#include <stdlib.h>
-
 #include <cstdint>
 #include <exception>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
-#include <memory>
 #include <random>
 #include <span>
 #include <stdexcept>
@@ -30,26 +26,25 @@
 #include "fhg/api/codec.hpp"
 #include "fhg/api/status.hpp"
 #include "fhg/engine/engine.hpp"
-#include "fhg/dynamic/mutation.hpp"
 #include "fhg/engine/registry.hpp"
 #include "fhg/engine/snapshot.hpp"
-#include "fhg/graph/graph.hpp"
 #include "fhg/wal/wal.hpp"
-#include "fhg/workload/scenario.hpp"
 
 #include "api_examples.hpp"
+#include "pinned_fixtures.hpp"
 
 namespace fa = fhg::api;
-namespace fdy = fhg::dynamic;
 namespace fe = fhg::engine;
-namespace fg = fhg::graph;
-namespace fw = fhg::workload;
 namespace fwal = fhg::wal;
 namespace stdfs = std::filesystem;
 
 namespace {
 
-using Bytes = std::vector<std::uint8_t>;
+using fhg::testing::Bytes;
+using fhg::testing::dynamic_fleet;
+using fhg::testing::migrate_blob;
+using fhg::testing::read_file;
+using fhg::testing::TempDir;
 
 std::vector<Bytes> frame_corpus() {
   std::vector<Bytes> frames;
@@ -61,74 +56,6 @@ std::vector<Bytes> frame_corpus() {
     frames.push_back(fa::encode_response(id++, response));
   }
   return frames;
-}
-
-/// One 1024-node tenant of `power-law:fleet=128,nodes=1024,aperiodic=0`,
-/// stepped off holiday 0, as the blob `SnapshotInstance` returns.
-Bytes migrate_blob() {
-  const auto spec = fw::parse_scenario("power-law:fleet=128,nodes=1024,aperiodic=0");
-  const fw::ScenarioGenerator generator(*spec);
-  fw::TenantSpec tenant = generator.tenant(0);
-  fe::Engine engine({.shards = 1, .threads = 1});
-  (void)engine.create_instance(tenant.name, std::move(tenant.graph), tenant.spec);
-  engine.step_all(37);
-  Bytes blob;
-  EXPECT_TRUE(engine.snapshot_instance(tenant.name, blob).ok());
-  return blob;
-}
-
-/// A fully dynamic fleet with mutation history: scenario tenants after
-/// three mutation rounds, plus one tenant whose low bulk threshold puts a
-/// bulk segment in its batch records.
-std::unique_ptr<fe::Engine> dynamic_fleet() {
-  const auto spec =
-      fw::parse_scenario("power-law:fleet=10,nodes=32,aperiodic=0,dynamic=1,mutation=0.5,cmds=6");
-  const fw::ScenarioGenerator generator(*spec);
-  auto engine = std::make_unique<fe::Engine>(fe::EngineOptions{.shards = 2, .threads = 1});
-  generator.populate(*engine);
-  fe::InstanceSpec bulky;
-  bulky.kind = fe::SchedulerKind::kDynamicPrefixCode;
-  bulky.bulk_threshold = 4;
-  (void)engine->create_instance("bulky", fg::Graph(16), bulky);
-  for (std::uint64_t round = 0; round < 3; ++round) {
-    engine->step_all(11);
-    (void)generator.mutation_round(*engine, round);
-    (void)engine->apply_mutations(
-        "bulky", std::vector{fdy::insert_edge_command(1, 2 + round), fdy::add_node_command(),
-                             fdy::insert_edge_command(3, 4 + round),
-                             fdy::insert_edge_command(5, 6 + round),
-                             fdy::erase_edge_command(1, 2 + round)});
-    (void)engine->apply_mutations("bulky", std::vector{fdy::insert_edge_command(0, 9)});
-  }
-  return engine;
-}
-
-/// A mkdtemp-owned scratch directory, removed on scope exit.
-class TempDir {
- public:
-  TempDir() {
-    std::string tmpl = (stdfs::temp_directory_path() / "fhg-fuzz-XXXXXX").string();
-    if (::mkdtemp(tmpl.data()) == nullptr) {
-      throw std::runtime_error("mkdtemp failed for " + tmpl);
-    }
-    path_ = tmpl;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    stdfs::remove_all(path_, ec);
-  }
-  TempDir(const TempDir&) = delete;
-  TempDir& operator=(const TempDir&) = delete;
-
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-
- private:
-  std::string path_;
-};
-
-Bytes read_file(const stdfs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 void write_file(const stdfs::path& path, const Bytes& bytes) {
@@ -275,25 +202,7 @@ TEST(DecoderFuzz, MutatedWalSegmentsRecoverOrFailTyped) {
   // A base snapshot plus two shards of segments holding per-command and
   // bulk batches, written by a live engine.
   TempDir base;
-  {
-    auto engine = dynamic_fleet();
-    fwal::Manager manager(*engine, {.dir = base.path(), .shards = 2, .fsync_every = 0});
-    (void)manager.recover();
-    manager.compact();
-    engine->attach_wal(&manager);
-    const auto spec =
-        fw::parse_scenario("power-law:fleet=10,nodes=32,aperiodic=0,dynamic=1,mutation=0.5,cmds=6");
-    const fw::ScenarioGenerator generator(*spec);
-    for (std::uint64_t round = 3; round < 6; ++round) {
-      engine->step_all(5);
-      (void)generator.mutation_round(*engine, round);
-      (void)engine->apply_mutations(
-          "bulky", std::vector{fdy::add_node_command(), fdy::insert_edge_command(19, round),
-                               fdy::insert_edge_command(7, 8 + round),
-                               fdy::insert_edge_command(9, 12 + round)});
-    }
-    engine->attach_wal(nullptr);
-  }
+  fhg::testing::write_wal_run(base.path());
   std::vector<stdfs::path> names;
   std::vector<Bytes> files;
   for (const auto& entry : stdfs::directory_iterator(base.path())) {

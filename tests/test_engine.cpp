@@ -24,10 +24,13 @@
 #include "fhg/graph/generators.hpp"
 #include "fhg/parallel/rng.hpp"
 
+#include "pinned_fixtures.hpp"
+
 namespace fg = fhg::graph;
 namespace fe = fhg::engine;
 namespace fco = fhg::core;
 namespace fdy = fhg::dynamic;
+namespace ft = fhg::testing;
 
 namespace {
 
@@ -773,30 +776,49 @@ TEST(SnapshotV2, MidLogRestoreIsByteIdentical) {
 }
 
 TEST(SnapshotV2, V1StillLoadsAndDynamicTenancyRejectsV1) {
-  fe::InstanceRegistry registry(4);
-  (void)registry.create("a", fg::gnp(30, 0.1, 7), spec_of(fe::SchedulerKind::kPrefixCode));
-  (void)registry.create("b", fg::cycle(10), spec_of(fe::SchedulerKind::kDegreeBound));
-
-  const auto v1 = fe::snapshot_registry(registry, fe::kSnapshotVersionV1);
-  const auto v2 = fe::snapshot_registry(registry);
-  EXPECT_NE(v1, v2);  // version byte (and v2 fields) differ on the wire
-
+  // Checked-in v1 bytes: "deg" (cycle(10), degree-bound) and "stat"
+  // (gnp(12, 0.2, 29), default spec), both at holiday 4.
+  const auto v1 = ft::from_hex(ft::kSnapshotV1Hex);
   fe::InstanceRegistry out(2);
   fe::restore_registry(out, v1);  // version dispatch: v1 still loads
-  EXPECT_EQ(out.size(), 2U);
-  // A v1 restore zeroes the v3-only spec knobs (those tenants were built
-  // serial, and replay must keep them serial), so the latest-version bytes
-  // differ from a fresh tenancy's in the spec fields.  Old-format encodings
-  // of both tenancies are identical — and the v1 round trip is canonical.
-  EXPECT_EQ(fe::snapshot_registry(out, fe::kSnapshotVersionV2),
-            fe::snapshot_registry(registry, fe::kSnapshotVersionV2));
+  ASSERT_EQ(out.size(), 2U);
+
+  // A v1 restore zeroes the v3-only spec knobs: those tenants were built
+  // serial, and replay must keep them serial.  Each answers exactly like a
+  // tenant freshly built from the same recipe.
+  fe::InstanceRegistry fresh(2);
+  fe::InstanceSpec deg_spec = spec_of(fe::SchedulerKind::kDegreeBound);
+  fe::InstanceSpec stat_spec;
+  for (fe::InstanceSpec* spec : {&deg_spec, &stat_spec}) {
+    spec->parallel_crossover = 0;
+    spec->bulk_threshold = 0;
+  }
+  (void)fresh.create("deg", fg::cycle(10), deg_spec);
+  (void)fresh.create("stat", fg::gnp(12, 0.2, 29), stat_spec);
+  for (const auto* name : {"deg", "stat"}) {
+    const auto restored = out.find(name);
+    const auto built = fresh.find(name);
+    ASSERT_NE(restored, nullptr) << name;
+    EXPECT_EQ(restored->spec(), built->spec()) << name;
+    EXPECT_EQ(restored->current_holiday(), 4U) << name;
+    built->fast_forward(4);
+    for (fg::NodeId v = 0; v < built->num_nodes(); ++v) {
+      for (std::uint64_t t = 1; t <= 64; ++t) {
+        ASSERT_EQ(restored->is_happy(v, t), built->is_happy(v, t))
+            << name << " node " << v << " holiday " << t;
+      }
+    }
+  }
+
+  // The fixture is what the v1 writer produces for this tenancy, and the v1
+  // round trip is canonical.
   EXPECT_EQ(fe::snapshot_registry(out, fe::kSnapshotVersionV1), v1);
 
   // A tenancy with a dynamic instance cannot be written as v1 (no log slot).
-  (void)registry.create("dyn", fg::Graph(4), spec_of(fe::SchedulerKind::kDynamicPrefixCode));
-  EXPECT_THROW((void)fe::snapshot_registry(registry, fe::kSnapshotVersionV1),
+  (void)out.create("dyn", fg::Graph(4), spec_of(fe::SchedulerKind::kDynamicPrefixCode));
+  EXPECT_THROW((void)fe::snapshot_registry(out, fe::kSnapshotVersionV1),
                std::invalid_argument);
-  EXPECT_THROW((void)fe::snapshot_registry(registry, 99), std::invalid_argument);
+  EXPECT_THROW((void)fe::snapshot_registry(out, 99), std::invalid_argument);
 }
 
 TEST(SnapshotV2, TruncationAndCorruptionFailTyped) {

@@ -23,11 +23,14 @@
 #include "fhg/graph/graph.hpp"
 #include "fhg/parallel/thread_pool.hpp"
 
+#include "pinned_fixtures.hpp"
+
 namespace fc = fhg::coloring;
 namespace fdy = fhg::dynamic;
 namespace fe = fhg::engine;
 namespace fg = fhg::graph;
 namespace fp = fhg::parallel;
+namespace ft = fhg::testing;
 
 namespace {
 
@@ -334,22 +337,42 @@ TEST(EngineParallelColoring, V2WriteRefusesParallelBuildsAndBulkBatches) {
 }
 
 TEST(EngineParallelColoring, V2FormatLogsStillLoad) {
-  // A tenancy with neither JP builds nor bulk batches writes v2 exactly as
-  // before; v2 bytes restore to the identical tenancy (crossover and bulk
-  // read back as 0 — the paths those tenants actually took).
-  fe::InstanceRegistry registry(2);
-  const fg::Graph g = fg::cycle(12);
-  (void)registry.create("dyn", g, dynamic_spec(/*crossover=*/0, /*bulk_threshold=*/0));
-  auto live = registry.find("dyn");
-  ASSERT_NE(live, nullptr);
-
-  const auto v2 = fe::snapshot_registry(registry, fe::kSnapshotVersionV2);
+  // Checked-in v2 bytes: "dyn" (cycle(8), dynamic, slack 1) with a
+  // four-command log in two batches, and a static "stat", at holiday 6.
+  // Crossover and bulk read back as 0 — the paths those tenants took — and
+  // the log replays per command onto a proper coloring.
+  const auto v2 = ft::from_hex(ft::kSnapshotV2Hex);
   fe::InstanceRegistry out(2);
   fe::restore_registry(out, v2);
   auto restored = out.find("dyn");
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(restored->spec().parallel_crossover, 0U);
   EXPECT_EQ(restored->spec().bulk_threshold, 0U);
+  EXPECT_EQ(restored->mutation_log().size(), 4U);
+  EXPECT_EQ(restored->num_nodes(), 9U);
+  EXPECT_EQ(restored->current_holiday(), 6U);
+
+  // It answers exactly like the same history applied live today.
+  fe::InstanceSpec spec = dynamic_spec(/*crossover=*/0, /*bulk_threshold=*/0);
+  spec.slack = 1;
+  fe::Engine live;
+  (void)live.create_instance("dyn", fg::cycle(8), spec);
+  (void)live.step_all(3);
+  (void)live.apply_mutations("dyn", std::vector{fdy::insert_edge_command(0, 4),
+                                                fdy::erase_edge_command(1, 2),
+                                                fdy::add_node_command()});
+  (void)live.step_all(3);
+  (void)live.apply_mutations("dyn", std::vector{fdy::insert_edge_command(8, 3)});
+  const auto built = live.find("dyn");
+  EXPECT_EQ(restored->mutation_log(), built->mutation_log());
+  for (fg::NodeId v = 0; v < built->num_nodes(); ++v) {
+    for (std::uint64_t t = 1; t <= 64; ++t) {
+      ASSERT_EQ(restored->is_happy(v, t), built->is_happy(v, t))
+          << "node " << v << " holiday " << t;
+    }
+  }
+
+  // The fixture is what the v2 writer produces, and re-encodes canonically.
   EXPECT_EQ(fe::snapshot_registry(out, fe::kSnapshotVersionV2), v2);
 }
 

@@ -39,6 +39,8 @@
 #include "fhg/service/service.hpp"
 #include "fhg/wal/wal.hpp"
 
+#include "pinned_fixtures.hpp"
+
 namespace fa = fhg::api;
 namespace fdy = fhg::dynamic;
 namespace fe = fhg::engine;
@@ -585,46 +587,40 @@ TEST(WalManager, StructurallyImpossibleSegmentsAlwaysThrow) {
 // --------------------------------------------- snapshot cross-version matrix --
 
 TEST(WalManager, EverySnapshotVersionRestoresIntoAWalEnabledEngine) {
-  // v1 cannot carry dynamic tenants and v2 cannot carry bulk batches, so
-  // each version gets the richest tenancy it supports; after restoring into
-  // a WAL-enabled engine the durability cycle (mutate → crash → recover)
-  // must work identically for all three.
-  for (const std::uint64_t version :
-       {fe::kSnapshotVersionV1, fe::kSnapshotVersionV2, fe::kSnapshotVersionLatest}) {
+  // v1 and v2 come from the checked-in fixtures (v1: two static tenants; v2:
+  // a static tenant and a dynamic "dyn" with a mutation log); v3 is written
+  // live, with a bulk batch in its log.  After restoring into a WAL-enabled
+  // engine the durability cycle (mutate → crash → recover) must work
+  // identically for all three.
+  auto source = make_engine();
+  (void)source->create_instance("stat", fg::gnp(12, 0.2, 29), fe::InstanceSpec{});
+  (void)source->create_instance("dyn", fg::gnp(16, 0.2, 31), dynamic_spec());
+  (void)source->apply_mutations("dyn", std::vector{fdy::insert_edge_command(0, 1)});
+  (void)source->create_instance("bulk", fg::gnp(16, 0.2, 37), dynamic_spec(2));
+  (void)source->apply_mutations(
+      "bulk", std::vector{fdy::insert_edge_command(2, 3), fdy::insert_edge_command(4, 5)});
+  (void)source->step_all(4);
+  const std::vector<std::uint8_t> snapshots[] = {fhg::testing::from_hex(fhg::testing::kSnapshotV1Hex),
+                                                 fhg::testing::from_hex(fhg::testing::kSnapshotV2Hex),
+                                                 state_of(*source)};
+  for (std::uint64_t version = 1; version <= 3; ++version) {
     SCOPED_TRACE("snapshot v" + std::to_string(version));
-    auto source = make_engine();
-    (void)source->create_instance("stat", fg::gnp(12, 0.2, 29), fe::InstanceSpec{});
-    if (version >= fe::kSnapshotVersionV2) {
-      (void)source->create_instance("dyn", fg::gnp(16, 0.2, 31), dynamic_spec());
-      (void)source->apply_mutations("dyn", std::vector{fdy::insert_edge_command(0, 1)});
-    }
-    if (version >= fe::kSnapshotVersionLatest) {
-      auto spec = dynamic_spec(2);
-      (void)source->create_instance("bulk", fg::gnp(16, 0.2, 37), spec);
-      (void)source->apply_mutations("bulk",
-                                    std::vector{fdy::insert_edge_command(2, 3),
-                                                fdy::insert_edge_command(4, 5)});
-    }
-    (void)source->step_all(4);
-    const std::vector<std::uint8_t> versioned =
-        fe::snapshot_registry(source->registry(), version);
-
     TempDir dir;
     std::vector<std::uint8_t> reference;
     {
       auto engine = make_engine();
-      engine->load_snapshot(versioned);
+      engine->load_snapshot(snapshots[version - 1]);
       fw::Manager manager(*engine, {.dir = dir.path(), .shards = 2});
       (void)manager.recover();
       manager.compact();
       engine->attach_wal(&manager);
-      // v1 tenancies have no dynamic tenant yet: create one through the
+      // The v1 tenancy has no dynamic tenant yet: create one through the
       // WAL-attached engine (exercising the lifecycle compaction) so every
       // version ends up with a mutable tenant to drive.
-      if (version < fe::kSnapshotVersionV2) {
-        (void)engine->create_instance("dyn", fg::gnp(16, 0.2, 31), dynamic_spec());
+      if (version == 1) {
+        (void)engine->create_instance("dyn", fg::cycle(8), dynamic_spec());
       }
-      (void)engine->apply_mutations("dyn", std::vector{fdy::insert_edge_command(6, 7),
+      (void)engine->apply_mutations("dyn", std::vector{fdy::insert_edge_command(2, 5),
                                                        fdy::add_node_command()});
       reference = state_of(*engine);
       engine->attach_wal(nullptr);
@@ -634,6 +630,13 @@ TEST(WalManager, EverySnapshotVersionRestoresIntoAWalEnabledEngine) {
     const fw::RecoveryReport report = manager.recover();
     EXPECT_EQ(report.replayed_batches, 1u);
     EXPECT_EQ(state_of(*recovered), reference);
+  }
+
+  // The fixtures are what the v1 and v2 writers produce for those tenancies.
+  for (std::uint64_t version = 1; version <= 2; ++version) {
+    auto engine = make_engine();
+    engine->load_snapshot(snapshots[version - 1]);
+    EXPECT_EQ(fe::snapshot_registry(engine->registry(), version), snapshots[version - 1]);
   }
 }
 
