@@ -1,11 +1,11 @@
 #include "fhg/api/codec.hpp"
 
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "fhg/coding/bitio.hpp"
+#include "fhg/engine/records.hpp"
 #include "fhg/obs/registry.hpp"
 
 namespace fhg::api {
@@ -54,49 +54,18 @@ void count_decode_error(const char* cause) {
       .increment();
 }
 
-/// Thrown inside the decoders to carry a typed failure out to the catch in
-/// `decode_request`/`decode_response` (where it becomes a `Status`).
-struct DecodeFailure : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
+[[noreturn]] void fail(const std::string& what) {
+  throw coding::DecodeError("api codec: " + what);
+}
 
-[[noreturn]] void fail(const std::string& what) { throw DecodeFailure("api codec: " + what); }
-
+namespace records = engine::records;
 using coding::check_count;
+using records::read_enum;
+using records::read_name;
+using records::read_node;
+using records::write_name;
 
-std::uint64_t checked_enum(BitReader& r, std::uint64_t bound, const char* what) {
-  const std::uint64_t value = r.get_uint();
-  if (value >= bound) {
-    fail(std::string("unknown ") + what + " " + std::to_string(value));
-  }
-  return value;
-}
-
-graph::NodeId read_node(BitReader& r) {
-  const std::uint64_t v = r.get_uint();
-  if (v > std::numeric_limits<graph::NodeId>::max()) {
-    fail("node id " + std::to_string(v) + " out of NodeId range");
-  }
-  return static_cast<graph::NodeId>(v);
-}
-
-// Strings and blobs are byte-aligned on the wire (length varint, zero-pad
-// to the next byte boundary, then the raw bytes): multi-megabyte snapshot
-// payloads move at memcpy speed instead of eight branchy bit calls per
-// byte, for at most seven padding bits per field.
-
-void write_string(BitWriter& w, std::string_view s) {
-  w.put_uint(s.size());
-  w.put_bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
-}
-
-std::string read_string(BitReader& r, const char* what) {
-  const std::uint64_t length = r.get_uint();
-  check_count(r, length, 8, what);
-  std::string s(static_cast<std::size_t>(length), '\0');
-  r.get_bytes({reinterpret_cast<std::uint8_t*>(s.data()), s.size()});
-  return s;
-}
+// Blobs share the byte-aligned name layout (length, pad, raw bytes).
 
 void write_blob(BitWriter& w, std::span<const std::uint8_t> bytes) {
   w.put_uint(bytes.size());
@@ -109,89 +78,6 @@ std::vector<std::uint8_t> read_blob(BitReader& r, const char* what) {
   std::vector<std::uint8_t> bytes(static_cast<std::size_t>(length));
   r.get_bytes(bytes);
   return bytes;
-}
-
-void write_commands(BitWriter& w, std::span<const dynamic::MutationCommand> commands) {
-  w.put_uint(commands.size());
-  for (const dynamic::MutationCommand& cmd : commands) {
-    w.put_uint(static_cast<std::uint64_t>(cmd.op));
-    w.put_uint(cmd.holiday);
-    w.put_uint(cmd.u);
-    w.put_uint(cmd.v);
-  }
-}
-
-std::vector<dynamic::MutationCommand> read_commands(BitReader& r) {
-  const std::uint64_t count = r.get_uint();
-  check_count(r, count, 4, "mutation command");  // four codewords of >= 1 bit
-  std::vector<dynamic::MutationCommand> commands;
-  commands.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    dynamic::MutationCommand cmd;
-    cmd.op = static_cast<dynamic::MutationOp>(
-        checked_enum(r, static_cast<std::uint64_t>(dynamic::MutationOp::kAddNode) + 1,
-                     "mutation op"));
-    cmd.holiday = r.get_uint();
-    cmd.u = read_node(r);
-    cmd.v = read_node(r);
-    commands.push_back(cmd);
-  }
-  return commands;
-}
-
-void write_spec(BitWriter& w, const engine::InstanceSpec& spec) {
-  w.put_uint(static_cast<std::uint64_t>(spec.kind));
-  w.put_uint(static_cast<std::uint64_t>(spec.code));
-  w.put_uint(spec.seed);
-  w.put_uint(spec.slack);
-  w.put_uint(spec.periods.size());
-  for (const std::uint64_t p : spec.periods) {
-    w.put_uint(p);
-  }
-}
-
-engine::InstanceSpec read_spec(BitReader& r) {
-  engine::InstanceSpec spec;
-  spec.kind = static_cast<engine::SchedulerKind>(checked_enum(
-      r, static_cast<std::uint64_t>(engine::SchedulerKind::kDynamicPrefixCode) + 1,
-      "scheduler kind"));
-  spec.code = static_cast<coding::CodeFamily>(
-      checked_enum(r, static_cast<std::uint64_t>(coding::CodeFamily::kEliasOmega) + 1,
-                   "code family"));
-  spec.seed = r.get_uint();
-  const std::uint64_t slack = r.get_uint();
-  if (slack > std::numeric_limits<std::uint32_t>::max()) {
-    fail("slack " + std::to_string(slack) + " out of range");
-  }
-  spec.slack = static_cast<std::uint32_t>(slack);
-  const std::uint64_t periods = r.get_uint();
-  check_count(r, periods, 1, "period");
-  spec.periods.resize(static_cast<std::size_t>(periods));
-  for (std::uint64_t i = 0; i < periods; ++i) {
-    spec.periods[static_cast<std::size_t>(i)] = r.get_uint();
-  }
-  return spec;
-}
-
-void write_edges(BitWriter& w, std::span<const graph::Edge> edges) {
-  w.put_uint(edges.size());
-  for (const graph::Edge& e : edges) {
-    w.put_uint(e.first);
-    w.put_uint(e.second);
-  }
-}
-
-std::vector<graph::Edge> read_edges(BitReader& r) {
-  const std::uint64_t count = r.get_uint();
-  check_count(r, count, 2, "edge");  // two codewords of >= 1 bit each
-  std::vector<graph::Edge> edges;
-  edges.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const graph::NodeId first = read_node(r);
-    const graph::NodeId second = read_node(r);
-    edges.push_back({first, second});
-  }
-  return edges;
 }
 
 // -- Stats payloads -----------------------------------------------------------
@@ -231,7 +117,7 @@ obs::Histogram read_histogram(BitReader& r) {
 void write_metric_samples(BitWriter& w, std::span<const obs::MetricSample> samples) {
   w.put_uint(samples.size());
   for (const obs::MetricSample& sample : samples) {
-    write_string(w, sample.name);
+    write_name(w, sample.name);
     w.put_uint(static_cast<std::uint64_t>(sample.kind));
     switch (sample.kind) {
       case obs::MetricKind::kCounter:
@@ -254,9 +140,9 @@ std::vector<obs::MetricSample> read_metric_samples(BitReader& r) {
   samples.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     obs::MetricSample sample;
-    sample.name = read_string(r, "metric name byte");
+    sample.name = read_name(r, "metric name byte");
     sample.kind = static_cast<obs::MetricKind>(
-        checked_enum(r, static_cast<std::uint64_t>(obs::MetricKind::kHistogram) + 1,
+        read_enum(r, static_cast<std::uint64_t>(obs::MetricKind::kHistogram) + 1,
                      "metric kind"));
     switch (sample.kind) {
       case obs::MetricKind::kCounter:
@@ -297,7 +183,7 @@ std::vector<obs::TraceSample> read_trace_samples(BitReader& r) {
     trace.trace_id = r.get_uint();
     trace.request_id = r.get_uint();
     trace.kind = static_cast<std::uint8_t>(
-        checked_enum(r, kNumRequestKinds, "trace request kind"));
+        read_enum(r, kNumRequestKinds, "trace request kind"));
     trace.queue_us = r.get_uint();
     trace.serve_us = r.get_uint();
     trace.total_us = r.get_uint();
@@ -351,35 +237,35 @@ void write_request_body(BitWriter& w, const Request& request) {
       [&w](const auto& r) {
         using R = std::decay_t<decltype(r)>;
         if constexpr (std::is_same_v<R, IsHappyRequest>) {
-          write_string(w, r.instance);
+          write_name(w, r.instance);
           w.put_uint(r.node);
           w.put_uint(r.holiday);
         } else if constexpr (std::is_same_v<R, NextGatheringRequest>) {
-          write_string(w, r.instance);
+          write_name(w, r.instance);
           w.put_uint(r.node);
           w.put_uint(r.after);
         } else if constexpr (std::is_same_v<R, ApplyMutationsRequest>) {
-          write_string(w, r.instance);
-          write_commands(w, r.commands);
+          write_name(w, r.instance);
+          records::write_commands(w, r.commands, records::Stamps::kAbsolute);
         } else if constexpr (std::is_same_v<R, CreateInstanceRequest>) {
-          write_string(w, r.instance);
+          write_name(w, r.instance);
           w.put_uint(r.nodes);
-          write_edges(w, r.edges);
-          write_spec(w, r.spec);
+          records::write_edges(w, r.edges);
+          records::write_spec(w, r.spec, records::kApiSpecLayout);
         } else if constexpr (std::is_same_v<R, EraseInstanceRequest>) {
-          write_string(w, r.instance);
+          write_name(w, r.instance);
         } else if constexpr (std::is_same_v<R, RestoreRequest>) {
           write_blob(w, r.bytes);
         } else if constexpr (std::is_same_v<R, GetStatsRequest>) {
           w.put_bit(r.include_histograms);
           w.put_bit(r.include_traces);
         } else if constexpr (std::is_same_v<R, SnapshotInstanceRequest>) {
-          write_string(w, r.instance);
+          write_name(w, r.instance);
         } else if constexpr (std::is_same_v<R, RestoreInstanceRequest>) {
-          write_string(w, r.instance);
+          write_name(w, r.instance);
           write_blob(w, r.bytes);
         } else if constexpr (std::is_same_v<R, DrainBackendRequest>) {
-          write_string(w, r.backend);
+          write_name(w, r.backend);
         } else {
           // ListInstances / Snapshot / RecoverInfo / Hello carry no fields
           // beyond the tag.
@@ -404,35 +290,35 @@ Request read_request_body(BitReader& r, std::uint64_t version) {
   switch (tag) {
     case 0: {
       IsHappyRequest req;
-      req.instance = read_string(r, "instance name byte");
+      req.instance = read_name(r, "instance name byte");
       req.node = read_node(r);
       req.holiday = r.get_uint();
       return req;
     }
     case 1: {
       NextGatheringRequest req;
-      req.instance = read_string(r, "instance name byte");
+      req.instance = read_name(r, "instance name byte");
       req.node = read_node(r);
       req.after = r.get_uint();
       return req;
     }
     case 2: {
       ApplyMutationsRequest req;
-      req.instance = read_string(r, "instance name byte");
-      req.commands = read_commands(r);
+      req.instance = read_name(r, "instance name byte");
+      req.commands = records::read_commands(r, records::Stamps::kAbsolute);
       return req;
     }
     case 3: {
       CreateInstanceRequest req;
-      req.instance = read_string(r, "instance name byte");
+      req.instance = read_name(r, "instance name byte");
       req.nodes = read_node(r);
-      req.edges = read_edges(r);
-      req.spec = read_spec(r);
+      req.edges = records::read_edges(r);
+      req.spec = records::read_spec(r, records::kApiSpecLayout);
       return req;
     }
     case 4: {
       EraseInstanceRequest req;
-      req.instance = read_string(r, "instance name byte");
+      req.instance = read_name(r, "instance name byte");
       return req;
     }
     case 5:
@@ -456,18 +342,18 @@ Request read_request_body(BitReader& r, std::uint64_t version) {
       return HelloRequest{};
     case 11: {
       SnapshotInstanceRequest req;
-      req.instance = read_string(r, "instance name byte");
+      req.instance = read_name(r, "instance name byte");
       return req;
     }
     case 12: {
       RestoreInstanceRequest req;
-      req.instance = read_string(r, "instance name byte");
+      req.instance = read_name(r, "instance name byte");
       req.bytes = read_blob(r, "snapshot byte");
       return req;
     }
     case 13: {
       DrainBackendRequest req;
-      req.backend = read_string(r, "backend id byte");
+      req.backend = read_name(r, "backend id byte");
       return req;
     }
     default:
@@ -479,7 +365,7 @@ Request read_request_body(BitReader& r, std::uint64_t version) {
 
 void write_response_body(BitWriter& w, const Response& response) {
   w.put_uint(static_cast<std::uint64_t>(response.status.code));
-  write_string(w, response.status.detail);
+  write_name(w, response.status.detail);
   w.put_uint(response.payload.index());
   std::visit(
       [&w](const auto& p) {
@@ -495,7 +381,7 @@ void write_response_body(BitWriter& w, const Response& response) {
         } else if constexpr (std::is_same_v<P, ListInstancesResponse>) {
           w.put_uint(p.instances.size());
           for (const InstanceInfo& info : p.instances) {
-            write_string(w, info.name);
+            write_name(w, info.name);
             w.put_uint(static_cast<std::uint64_t>(info.kind));
             w.put_uint(info.nodes);
             w.put_bit(info.periodic);
@@ -522,7 +408,7 @@ void write_response_body(BitWriter& w, const Response& response) {
           w.put_uint(p.torn_bytes);
           w.put_uint(p.durable_batches);
         } else if constexpr (std::is_same_v<P, HelloResponse>) {
-          write_string(w, p.backend);
+          write_name(w, p.backend);
           w.put_uint(p.min_version);
           w.put_uint(p.max_version);
         } else if constexpr (std::is_same_v<P, SnapshotInstanceResponse>) {
@@ -544,8 +430,8 @@ void write_response_body(BitWriter& w, const Response& response) {
 Response read_response_body(BitReader& r, std::uint64_t version) {
   Response response;
   response.status.code =
-      static_cast<StatusCode>(checked_enum(r, kNumStatusCodes, "status code"));
-  response.status.detail = read_string(r, "status detail byte");
+      static_cast<StatusCode>(read_enum(r, kNumStatusCodes, "status code"));
+  response.status.detail = read_name(r, "status detail byte");
   const std::uint64_t tag = r.get_uint();
   if (tag >= kFirstV2ResponseTag && version < 2) {
     fail("response tag " + std::to_string(tag) + " needs protocol version 2, frame claims " +
@@ -588,8 +474,8 @@ Response read_response_body(BitReader& r, std::uint64_t version) {
       p.instances.reserve(static_cast<std::size_t>(count));
       for (std::uint64_t i = 0; i < count; ++i) {
         InstanceInfo info;
-        info.name = read_string(r, "instance name byte");
-        info.kind = static_cast<engine::SchedulerKind>(checked_enum(
+        info.name = read_name(r, "instance name byte");
+        info.kind = static_cast<engine::SchedulerKind>(read_enum(
             r, static_cast<std::uint64_t>(engine::SchedulerKind::kDynamicPrefixCode) + 1,
             "scheduler kind"));
         info.nodes = read_node(r);
@@ -638,7 +524,7 @@ Response read_response_body(BitReader& r, std::uint64_t version) {
     }
     case 11: {
       HelloResponse p;
-      p.backend = read_string(r, "backend id byte");
+      p.backend = read_name(r, "backend id byte");
       p.min_version = r.get_uint();
       p.max_version = r.get_uint();
       response.payload = std::move(p);

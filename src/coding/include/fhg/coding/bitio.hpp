@@ -8,9 +8,9 @@
 /// unsigned integer as the Elias delta code of `value + 1` — the same
 /// universal code the §4 scheduler is built from, earning its keep as a
 /// serialization format: small values (tags, counts, deltas — the
-/// overwhelming majority) cost a handful of bits.  Both the engine snapshot
-/// format (`fhg/engine/snapshot.hpp`) and the `fhg::api` request/response
-/// wire codec (`fhg/api/codec.hpp`) are built on this pair.
+/// overwhelming majority) cost a handful of bits.  Engine snapshots, WAL
+/// payloads and the `fhg::api` wire codec are built on this pair, through
+/// the record layouts of `fhg/engine/records.hpp`.
 ///
 /// Both directions work a 64-bit word at a time.  The writer emits an
 /// integer as at most two shifted words: `γ(len)` and the low `len - 1`
@@ -20,16 +20,24 @@
 /// whole codeword against the input length once per integer.
 ///
 /// Decoding is defensive by construction: reading past the end of the input
-/// throws `std::runtime_error` (never reads out of bounds), and
+/// throws `DecodeError` (never reads out of bounds), and
 /// `remaining_bits()` lets format layers sanity-check decoded length fields
 /// *before* allocating — a corrupt count can never claim more items than the
 /// stream still holds bits.
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 namespace fhg::coding {
+
+/// The one error every decoder built on `BitReader` throws for malformed
+/// input: truncation, implausible counts, and each format layer's own
+/// field checks.  A `std::runtime_error`, so callers may catch either.
+struct DecodeError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 /// Packs bits MSB-first into bytes; integers as Elias delta of `value + 1`.
 class BitWriter {
@@ -62,7 +70,7 @@ class BitWriter {
   std::uint32_t acc_bits_ = 0;
 };
 
-/// Mirror of `BitWriter`.  Throws `std::runtime_error` on truncated input.
+/// Mirror of `BitWriter`.  Throws `DecodeError` on truncated input.
 class BitReader {
  public:
   /// Reads from `bytes` (not owned; must outlive the reader).
@@ -74,8 +82,8 @@ class BitReader {
   /// `width > 64`.
   [[nodiscard]] std::uint64_t get_bits(std::uint32_t width);
   /// Consumes one Elias-delta codeword and returns the coded value minus 1.
-  /// One bounds check covers the whole codeword.  Throws
-  /// `std::runtime_error` when the input ends inside it, and when it codes a
+  /// One bounds check covers the whole codeword.  Throws `DecodeError`
+  /// when the input ends inside it, and when it codes a
   /// value above 64 bits (a zero run over 63, or a length field over 64).
   [[nodiscard]] std::uint64_t get_uint();
   /// Skips to the next byte boundary (no-op when already aligned).
@@ -100,7 +108,7 @@ class BitReader {
 };
 
 /// Guards a decoded length field: `count` items of at least `min_bits_each`
-/// cannot exceed what the stream still holds.  Throws `std::runtime_error`
+/// cannot exceed what the stream still holds.  Throws `DecodeError`
 /// naming `what` otherwise — the shared defense (engine snapshots, the api
 /// wire codec) against a corrupt count triggering a huge allocation before
 /// truncation is detected.

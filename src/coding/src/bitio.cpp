@@ -13,7 +13,7 @@ namespace fhg::coding {
 namespace {
 
 [[noreturn]] void throw_truncated() {
-  throw std::runtime_error("bitio: truncated bit stream");
+  throw DecodeError("bitio: truncated bit stream");
 }
 
 [[noreturn]] void throw_bad_width(const char* where, std::uint32_t width) {
@@ -175,7 +175,7 @@ std::uint64_t BitReader::get_uint() {
     if (gamma_bits > remaining_bits()) {
       throw_truncated();
     }
-    throw std::runtime_error("bitio: Elias-delta value exceeds 64 bits");
+    throw DecodeError("bitio: Elias-delta value exceeds 64 bits");
   }
   const auto tail = static_cast<std::uint32_t>(len - 1);
   if (gamma_bits + tail > remaining_bits()) {  // the one bounds check
@@ -199,7 +199,7 @@ void BitReader::get_bytes(std::span<std::uint8_t> out) {
 void check_count(const BitReader& reader, std::uint64_t count, std::uint64_t min_bits_each,
                  const char* what) {
   if (count > reader.remaining_bits() / min_bits_each) {
-    throw std::runtime_error(std::string("bitio: implausible ") + what + " count " +
+    throw DecodeError(std::string("bitio: implausible ") + what + " count " +
                              std::to_string(count));
   }
 }

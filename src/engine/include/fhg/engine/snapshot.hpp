@@ -4,52 +4,33 @@
 /// Compact engine snapshots built on the `fhg::coding` Elias layer.
 ///
 /// A snapshot stores, per instance, the *recipe* rather than raw scheduler
-/// state: name, `InstanceSpec`, the conflict graph (delta-encoded edge
-/// list), and the holiday counter.  Every integer is written as the Elias
-/// delta code of `value + 1` — the same universal code the §4 scheduler is
-/// built from, now earning its keep as a wire format: small values (the
-/// overwhelming majority: edge deltas, kinds, counts) cost a handful of
-/// bits.  Restore rebuilds each scheduler deterministically and fast-forwards
-/// it: O(1) counter skip for periodic instances, exact replay (including gap
-/// statistics and the replay index) for aperiodic ones.
+/// state: name, `InstanceSpec`, the conflict graph, the holiday counter,
+/// the mutation log and its batch segmentation.  Restore rebuilds each
+/// scheduler deterministically, replays the log through the recorded batch
+/// paths (bulk Jones–Plassmann or per command), and fast-forwards: O(1)
+/// counter skip for periodic instances, exact replay (including gap
+/// statistics and the replay index) for aperiodic ones.  The field layouts
+/// live in `records.hpp`; this file adds the header (magic, version,
+/// instance count) and the instance record that composes them.
 ///
-/// **v2** extends the recipe with each tenant's *mutation log*: dynamic
-/// tenants are not pure functions of (graph, spec, holiday) — their schedule
-/// also depends on every topology mutation applied so far — so v2 persists
-/// the log (op, holiday stamp delta-coded, endpoints) and restore replays it
-/// command by command, landing on the identical coloring and slots before
-/// fast-forwarding.  v1 snapshots still load (version dispatch); writing v1
-/// is only possible for tenancies without dynamic instances.
-///
-/// **v3** adds the parallel-coloring recipe knobs (`parallel_crossover`,
-/// `bulk_threshold`) and each log's *batch segmentation*: once large batches
-/// can take the bulk Jones–Plassmann path — whose repair policy deliberately
-/// differs from per-command recoloring — the log alone no longer determines
-/// the coloring, so v3 records per batch how many commands it applied and
-/// which path it took, and restore replays each segment through the recorded
-/// path.  v1/v2 snapshots still load (fields default to 0 = serial greedy,
-/// per-command replay — exactly how those tenants were built); writing v2 is
-/// only possible when no instance used the parallel builder or a bulk batch.
+/// Writers emit v3 only.  v1 (recipe and holiday) and v2 (adds the slack
+/// spec field and the mutation log) are read-only: their readers default
+/// the parallel-coloring knobs to 0, so those tenants rebuild serial-greedy
+/// and replay per command, exactly how they were built.
 ///
 /// The encoding is canonical — instances sorted by name, edges sorted
-/// lexicographically, logs in apply order — so snapshot → restore → snapshot
-/// is byte-identical, including mid-log.
+/// lexicographically, logs in apply order — and the readers accept only
+/// that order, so snapshot → restore → snapshot is byte-identical,
+/// including mid-log.
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
-#include "fhg/coding/bitio.hpp"
-#include "fhg/coding/elias.hpp"
 #include "fhg/engine/registry.hpp"
 
 namespace fhg::engine {
-
-/// The snapshot bit stream (lives in `fhg::coding` now; the `fhg::api` wire
-/// codec shares it).  Kept as aliases for source compatibility.
-using BitWriter = coding::BitWriter;
-/// Mirror of `BitWriter`; see `fhg::coding::BitReader`.
-using BitReader = coding::BitReader;
 
 /// Wire-format versions.  v1: recipe + holiday only.  v2: adds the
 /// per-instance mutation log and the `slack` spec field.  v3 (current): adds
@@ -59,31 +40,24 @@ inline constexpr std::uint64_t kSnapshotVersionV2 = 2;
 inline constexpr std::uint64_t kSnapshotVersionLatest = 3;
 
 /// Serializes every instance of `registry` (names, specs, graphs, holiday
-/// counters, and — from v2 — mutation logs, from v3 batch records) into a
-/// canonical byte string.  Throws `std::invalid_argument` when `version` is
-/// unknown, when v1 is requested for a tenancy containing dynamic instances
-/// (v1 cannot carry a mutation log), or when v2 is requested for a tenancy
-/// where some instance built its coloring with the parallel pass or applied
-/// a bulk batch (v2 cannot carry the fields a faithful rebuild needs).
-[[nodiscard]] std::vector<std::uint8_t> snapshot_registry(
-    const InstanceRegistry& registry, std::uint64_t version = kSnapshotVersionLatest);
+/// counters, mutation logs and batch records) into a canonical v3 byte
+/// string.
+[[nodiscard]] std::vector<std::uint8_t> snapshot_registry(const InstanceRegistry& registry);
 
 /// Clears `registry` and repopulates it from `bytes`, fast-forwarding each
-/// instance to its snapshotted holiday.  Throws `std::runtime_error` on a
-/// malformed snapshot.
+/// instance to its snapshotted holiday.  Throws `coding::DecodeError` when
+/// `bytes` does not parse; on any failure `registry` is left untouched.
 void restore_registry(InstanceRegistry& registry, std::span<const std::uint8_t> bytes);
 
 /// Serializes a single instance as a count-1 snapshot stream — the migration
 /// unit the cluster router ships between backends.  The bytes are a regular
 /// snapshot (same magic/version/count header), so `restore_registry` loads
-/// them too.  Throws `std::invalid_argument` under the same downgrade rules
-/// as `snapshot_registry`.
-[[nodiscard]] std::vector<std::uint8_t> snapshot_instance(
-    const Instance& instance, std::uint64_t version = kSnapshotVersionLatest);
+/// them too.
+[[nodiscard]] std::vector<std::uint8_t> snapshot_instance(const Instance& instance);
 
 /// Rebuilds the one instance of a count-1 snapshot stream: parse, construct
 /// the recipe state, replay the mutation log, fast-forward.  Throws
-/// `std::runtime_error` when `bytes` is malformed or holds more than one
+/// `coding::DecodeError` when `bytes` does not parse or holds more than one
 /// instance.
 [[nodiscard]] std::shared_ptr<Instance> restore_instance(std::span<const std::uint8_t> bytes);
 

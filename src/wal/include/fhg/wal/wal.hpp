@@ -5,7 +5,8 @@
 ///
 /// `Manager` implements `engine::WalSink`: once attached via
 /// `Engine::attach_wal`, every committed `ApplyMutations` batch is appended
-/// (Elias-coded, CRC-framed) to one of `shards` log files *before* the
+/// (the `engine::records` committed-batch payload, CRC-framed) to one of
+/// `shards` log files *before* the
 /// period table republishes — durable-then-visible.  Restart recovery
 /// (`recover()`) loads the newest base snapshot, replays every durable batch
 /// through the bulk/in-place path its record names, skips batches the
@@ -28,13 +29,11 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
-#include "fhg/dynamic/mutation.hpp"
 #include "fhg/engine/engine.hpp"
 #include "fhg/engine/wal_sink.hpp"
 #include "fhg/obs/registry.hpp"
@@ -63,24 +62,6 @@ struct RecoveryReport {
   std::uint64_t skipped_batches = 0;   ///< durable batches the snapshot already held
   std::uint64_t torn_bytes = 0;        ///< torn-tail bytes truncated away
 };
-
-/// One decoded durable batch — exposed for the format round-trip tests.
-struct DurableBatch {
-  std::string instance;
-  std::uint64_t batch_index = 0;
-  std::uint64_t holiday = 0;
-  dynamic::BatchRecord record;
-  std::vector<dynamic::MutationCommand> commands;
-
-  friend bool operator==(const DurableBatch&, const DurableBatch&) = default;
-};
-
-/// Encodes one batch as a WAL record payload (Elias-coded; no frame).
-[[nodiscard]] std::vector<std::uint8_t> encode_batch(const DurableBatch& batch);
-
-/// Decodes one record payload.  Throws `std::runtime_error` on malformed
-/// input (defensive, like the snapshot and wire codecs).
-[[nodiscard]] DurableBatch decode_batch(std::span<const std::uint8_t> payload);
 
 /// The write-ahead log manager: the concrete `engine::WalSink`.
 ///

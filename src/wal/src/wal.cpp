@@ -10,17 +10,18 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <system_error>
 
-#include "fhg/coding/bitio.hpp"
 #include "fhg/coding/crc32.hpp"
+#include "fhg/engine/records.hpp"
 
 namespace fhg::wal {
 
 namespace fs = std::filesystem;
+using engine::records::CommittedBatch;
 
 namespace {
 
@@ -163,7 +164,7 @@ bool parse_segment_name(const std::string& name, SegmentFile& out) {
 /// What parsing one segment produced: every complete record, plus where the
 /// valid prefix ends (== file size when the segment is fully intact).
 struct SegmentParse {
-  std::vector<DurableBatch> batches;
+  std::vector<CommittedBatch> batches;
   std::uint64_t good_offset = 0;
   bool intact = false;
 };
@@ -210,7 +211,7 @@ SegmentParse parse_segment(std::span<const std::uint8_t> bytes, const SegmentFil
       return out;  // torn mid-payload
     }
     try {
-      out.batches.push_back(decode_batch(payload));
+      out.batches.push_back(engine::records::decode_batch(payload));
     } catch (const std::exception& e) {
       throw std::runtime_error("wal: " + seg.path.string() + " record at offset " +
                                std::to_string(off) + " passed its checksum but failed to " +
@@ -242,73 +243,6 @@ std::uint64_t elapsed_us(std::chrono::steady_clock::time_point start) {
 }
 
 }  // namespace
-
-// -- Record payload codec -----------------------------------------------------
-
-std::vector<std::uint8_t> encode_batch(const DurableBatch& batch) {
-  coding::BitWriter w;
-  w.put_uint(batch.instance.size());
-  w.put_bytes(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(batch.instance.data()), batch.instance.size()));
-  w.put_uint(batch.batch_index);
-  w.put_uint(batch.holiday);
-  w.put_bit(batch.record.bulk);
-  w.put_uint(batch.commands.size());
-  std::uint64_t prev_holiday = 0;
-  bool first = true;
-  for (const dynamic::MutationCommand& cmd : batch.commands) {
-    w.put_uint(static_cast<std::uint64_t>(cmd.op));
-    // Stamps are non-decreasing along a log; delta-code all but the first.
-    w.put_uint(first ? cmd.holiday : cmd.holiday - prev_holiday);
-    prev_holiday = cmd.holiday;
-    first = false;
-    w.put_uint(cmd.u);
-    w.put_uint(cmd.v);
-  }
-  return w.finish();
-}
-
-DurableBatch decode_batch(std::span<const std::uint8_t> payload) {
-  coding::BitReader r(payload);
-  DurableBatch batch;
-  const std::uint64_t name_len = r.get_uint();
-  coding::check_count(r, name_len, 8, "wal record name byte");
-  batch.instance.resize(name_len);
-  r.get_bytes(std::span<std::uint8_t>(reinterpret_cast<std::uint8_t*>(batch.instance.data()),
-                                      name_len));
-  batch.batch_index = r.get_uint();
-  batch.holiday = r.get_uint();
-  batch.record.bulk = r.get_bit();
-  const std::uint64_t count = r.get_uint();
-  // Four codewords of >= 1 bit each per command.
-  coding::check_count(r, count, 4, "wal record command");
-  if (count > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::runtime_error("wal: record claims " + std::to_string(count) + " commands");
-  }
-  batch.record.size = static_cast<std::uint32_t>(count);
-  batch.commands.reserve(count);
-  std::uint64_t prev_holiday = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    dynamic::MutationCommand cmd;
-    const std::uint64_t op = r.get_uint();
-    if (op > static_cast<std::uint64_t>(dynamic::MutationOp::kAddNode)) {
-      throw std::runtime_error("wal: unknown mutation op " + std::to_string(op));
-    }
-    cmd.op = static_cast<dynamic::MutationOp>(op);
-    cmd.holiday = (i == 0 ? r.get_uint() : prev_holiday + r.get_uint());
-    prev_holiday = cmd.holiday;
-    const std::uint64_t u = r.get_uint();
-    const std::uint64_t v = r.get_uint();
-    if (u > std::numeric_limits<graph::NodeId>::max() ||
-        v > std::numeric_limits<graph::NodeId>::max()) {
-      throw std::runtime_error("wal: command endpoint out of NodeId range");
-    }
-    cmd.u = static_cast<graph::NodeId>(u);
-    cmd.v = static_cast<graph::NodeId>(v);
-    batch.commands.push_back(cmd);
-  }
-  return batch;
-}
 
 // -- Manager ------------------------------------------------------------------
 
@@ -407,13 +341,7 @@ void Manager::open_segment_locked(std::size_t index, Shard& shard) {
 
 void Manager::on_commit(const engine::WalCommit& commit) {
   const auto start = std::chrono::steady_clock::now();
-  DurableBatch batch;
-  batch.instance = std::string(commit.instance);
-  batch.batch_index = commit.batch_index;
-  batch.holiday = commit.holiday;
-  batch.record = commit.record;
-  batch.commands.assign(commit.commands.begin(), commit.commands.end());
-  const std::vector<std::uint8_t> payload = encode_batch(batch);
+  const std::vector<std::uint8_t> payload = engine::records::encode_batch(commit);
   std::vector<std::uint8_t> frame;
   frame.reserve(kFrameHeaderBytes + payload.size());
   put_be32(frame, static_cast<std::uint32_t>(payload.size()));
@@ -473,7 +401,7 @@ RecoveryReport Manager::recover() {
   for (const SegmentFile& seg : segments) {
     newest[seg.shard] = std::max(newest[seg.shard], seg.generation);
   }
-  std::vector<DurableBatch> durable;
+  std::vector<CommittedBatch> durable;
   std::uint64_t max_generation = 0;
   std::int64_t live_bytes = 0;
   for (const SegmentFile& seg : segments) {
@@ -500,7 +428,7 @@ RecoveryReport Manager::recover() {
     }
     live_bytes += static_cast<std::int64_t>(parsed.good_offset);
     ++report.segments;
-    for (DurableBatch& batch : parsed.batches) {
+    for (CommittedBatch& batch : parsed.batches) {
       durable.push_back(std::move(batch));
     }
   }
@@ -511,13 +439,14 @@ RecoveryReport Manager::recover() {
   // live in one shard (stable name hash) in append order, but sorting by
   // (instance, batch_index) makes replay independent of shard layout — the
   // index is the authoritative order.
-  std::stable_sort(durable.begin(), durable.end(), [](const DurableBatch& a,
-                                                      const DurableBatch& b) {
-    return a.instance != b.instance ? a.instance < b.instance : a.batch_index < b.batch_index;
-  });
+  std::stable_sort(durable.begin(), durable.end(),
+                   [](const CommittedBatch& a, const CommittedBatch& b) {
+                     return a.instance != b.instance ? a.instance < b.instance
+                                                     : a.batch_index < b.batch_index;
+                   });
   std::string current_instance;
   std::uint64_t have = 0;
-  for (const DurableBatch& batch : durable) {
+  for (const CommittedBatch& batch : durable) {
     if (batch.instance != current_instance) {
       const std::shared_ptr<engine::Instance> instance = engine_.find(batch.instance);
       if (!instance) {

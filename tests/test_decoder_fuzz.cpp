@@ -8,8 +8,10 @@
 //
 // The replay paths get the same treatment: whole dynamic-fleet snapshots
 // (mutation logs and batch records, bulk segments included) fed to
-// `restore_registry`, and write-ahead-log segment files damaged the same
-// three ways and recovered into a fresh engine.
+// `restore_registry`, write-ahead-log segment files damaged the same three
+// ways and recovered into a fresh engine, and WAL record payloads fed
+// straight to `decode_batch`, past the frame CRC that stops most segment
+// mutants.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +27,9 @@
 
 #include "fhg/api/codec.hpp"
 #include "fhg/api/status.hpp"
+#include "fhg/coding/bitio.hpp"
 #include "fhg/engine/engine.hpp"
+#include "fhg/engine/records.hpp"
 #include "fhg/engine/registry.hpp"
 #include "fhg/engine/snapshot.hpp"
 #include "fhg/wal/wal.hpp"
@@ -35,6 +39,7 @@
 
 namespace fa = fhg::api;
 namespace fe = fhg::engine;
+namespace fr = fhg::engine::records;
 namespace fwal = fhg::wal;
 namespace stdfs = std::filesystem;
 
@@ -245,4 +250,37 @@ TEST(DecoderFuzz, MutatedWalSegmentsRecoverOrFailTyped) {
     }
   }
   EXPECT_GT(recovered, 0);  // torn tails truncate and recover
+}
+
+TEST(DecoderFuzz, MutatedWalPayloadsDecodeOrFailTyped) {
+  TempDir dir;
+  fhg::testing::write_wal_run(dir.path());
+  const std::vector<Bytes> payloads = fhg::testing::wal_payloads(dir.path());
+  ASSERT_FALSE(payloads.empty());
+  for (const Bytes& payload : payloads) {  // the seeds decode and re-encode exactly
+    const fr::CommittedBatch batch = fr::decode_batch(payload);
+    EXPECT_EQ(fr::encode_batch({.instance = batch.instance,
+                                .commands = batch.commands,
+                                .record = batch.record,
+                                .batch_index = batch.batch_index,
+                                .holiday = batch.holiday}),
+              payload);
+  }
+  std::mt19937_64 rng(5147);
+  int accepted = 0;
+  for (int i = 0; i < 5000; ++i) {
+    const Bytes& base = payloads[rng() % payloads.size()];
+    const Bytes& other = payloads[rng() % payloads.size()];
+    try {
+      const fr::CommittedBatch batch = fr::decode_batch(mutate(base, other, rng));
+      EXPECT_EQ(batch.record.size, batch.commands.size()) << "payload mutant " << i;
+      ++accepted;
+    } catch (const fhg::coding::DecodeError&) {
+      // the typed failure
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "payload mutant " << i << ": decode_batch threw a non-DecodeError: "
+                    << e.what();
+    }
+  }
+  EXPECT_GT(accepted, 0);  // some flips land in values, not structure
 }

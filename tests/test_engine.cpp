@@ -7,12 +7,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "fhg/coding/bitio.hpp"
 #include "fhg/core/prefix_code_scheduler.hpp"
 #include "fhg/coloring/greedy.hpp"
 #include "fhg/dynamic/mutation.hpp"
@@ -28,6 +31,7 @@
 
 namespace fg = fhg::graph;
 namespace fe = fhg::engine;
+namespace fc = fhg::coding;
 namespace fco = fhg::core;
 namespace fdy = fhg::dynamic;
 namespace ft = fhg::testing;
@@ -775,7 +779,7 @@ TEST(SnapshotV2, MidLogRestoreIsByteIdentical) {
   }
 }
 
-TEST(SnapshotV2, V1StillLoadsAndDynamicTenancyRejectsV1) {
+TEST(SnapshotV2, V1FixtureStillLoads) {
   // Checked-in v1 bytes: "deg" (cycle(10), degree-bound) and "stat"
   // (gnp(12, 0.2, 29), default spec), both at holiday 4.
   const auto v1 = ft::from_hex(ft::kSnapshotV1Hex);
@@ -809,16 +813,56 @@ TEST(SnapshotV2, V1StillLoadsAndDynamicTenancyRejectsV1) {
       }
     }
   }
+}
 
-  // The fixture is what the v1 writer produces for this tenancy, and the v1
-  // round trip is canonical.
-  EXPECT_EQ(fe::snapshot_registry(out, fe::kSnapshotVersionV1), v1);
+namespace {
 
-  // A tenancy with a dynamic instance cannot be written as v1 (no log slot).
-  (void)out.create("dyn", fg::Graph(4), spec_of(fe::SchedulerKind::kDynamicPrefixCode));
-  EXPECT_THROW((void)fe::snapshot_registry(out, fe::kSnapshotVersionV1),
-               std::invalid_argument);
-  EXPECT_THROW((void)fe::snapshot_registry(out, 99), std::invalid_argument);
+/// A v3 single-instance snapshot of "x": all-zero spec fields, 4 nodes, and
+/// one (first delta, second delta) pair per edge.
+std::vector<std::uint8_t> blob_with_edge_deltas(
+    std::initializer_list<std::pair<std::uint64_t, std::uint64_t>> deltas) {
+  fc::BitWriter w;
+  w.put_bits(0x46484753, 32);  // "FHGS"
+  w.put_uint(3);               // version
+  w.put_uint(1);               // instance count
+  w.put_uint(1);
+  w.put_bits('x', 8);
+  for (int field = 0; field < 7; ++field) {
+    w.put_uint(0);  // kind, code, seed, slack, crossover, bulk, period count
+  }
+  w.put_uint(4);
+  w.put_uint(deltas.size());
+  for (const auto& [first, second] : deltas) {
+    w.put_uint(first);
+    w.put_uint(second);
+  }
+  w.put_uint(0);  // holiday
+  w.put_uint(0);  // empty log
+  w.put_uint(0);  // no batch records
+  return w.finish();
+}
+
+}  // namespace
+
+TEST(SnapshotV3, NonCanonicalEdgeStreamsFailTyped) {
+  // The canonical coding of edge {1, 3} restores and re-encodes exactly.
+  const auto canonical = blob_with_edge_deltas({{1, 1}});
+  EXPECT_EQ(fe::snapshot_instance(*fe::restore_instance(canonical)), canonical);
+
+  // Deltas whose 64-bit sums wrap around to second = 3, with first narrowing
+  // to 1: a decoder that adds before it checks reads edge {1, 3} from these
+  // 24 bytes, which re-encode to other bytes.
+  const auto wrapped = blob_with_edge_deltas({{0xFFFFFFFF00000001ULL, 0x100000001ULL}});
+  EXPECT_EQ(wrapped.size(), 24U);
+  EXPECT_THROW((void)fe::restore_instance(wrapped), fc::DecodeError);
+
+  EXPECT_THROW((void)fe::restore_instance(blob_with_edge_deltas({{4, 0}})), fc::DecodeError);
+  EXPECT_THROW((void)fe::restore_instance(blob_with_edge_deltas({{3, 0}})), fc::DecodeError);
+  // A repeated edge, and two edges out of order.
+  EXPECT_THROW((void)fe::restore_instance(blob_with_edge_deltas({{0, 0}, {0, 0}})),
+               fc::DecodeError);
+  EXPECT_THROW((void)fe::restore_instance(blob_with_edge_deltas({{0, 2}, {0, 0}})),
+               fc::DecodeError);
 }
 
 TEST(SnapshotV2, TruncationAndCorruptionFailTyped) {

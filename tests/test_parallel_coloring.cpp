@@ -311,29 +311,17 @@ TEST(EngineParallelColoring, SnapshotV3RoundTripIsByteIdenticalThroughBulk) {
   }
 }
 
-TEST(EngineParallelColoring, V2WriteRefusesParallelBuildsAndBulkBatches) {
-  // A JP-built instance cannot be written as v2: the format has no crossover
-  // field, so a restore would rebuild greedy — a different coloring.
-  fe::InstanceRegistry jp_registry(2);
-  (void)jp_registry.create("jp", fg::barabasi_albert(128, 3, 5), dynamic_spec(32, 0));
-  EXPECT_THROW((void)fe::snapshot_registry(jp_registry, fe::kSnapshotVersionV2),
-               std::invalid_argument);
-
-  // A greedy-built tenant that applied a bulk batch is just as lossy in v2:
-  // the replay would run per-command and land elsewhere.
+TEST(EngineParallelColoring, GreedyBuiltBulkTenantRoundTrips) {
+  // A greedy-built tenant that applied a bulk batch: the v3 batch records
+  // carry the bulk segment, so restore re-encodes byte-identically.
   fe::Engine eng;
   const fg::Graph g = fg::gnp(100, 0.05, 2);
   (void)eng.create_instance("bulk", g, dynamic_spec(/*crossover=*/0, /*bulk_threshold=*/4));
-  (void)eng.apply_mutations("bulk", storm_batch(g, 16));
+  EXPECT_TRUE(eng.apply_mutations("bulk", storm_batch(g, 16)).bulk);
   const auto v3 = eng.snapshot();
   fe::Engine copy;
   copy.load_snapshot(v3);
   EXPECT_EQ(copy.snapshot(), v3);
-
-  fe::InstanceRegistry bulk_registry(2);
-  fe::restore_registry(bulk_registry, v3);
-  EXPECT_THROW((void)fe::snapshot_registry(bulk_registry, fe::kSnapshotVersionV2),
-               std::invalid_argument);
 }
 
 TEST(EngineParallelColoring, V2FormatLogsStillLoad) {
@@ -371,9 +359,6 @@ TEST(EngineParallelColoring, V2FormatLogsStillLoad) {
           << "node " << v << " holiday " << t;
     }
   }
-
-  // The fixture is what the v2 writer produces, and re-encodes canonically.
-  EXPECT_EQ(fe::snapshot_registry(out, fe::kSnapshotVersionV2), v2);
 }
 
 TEST(AdapterBulk, BulkAndPerCommandPathsBothLandProper) {
