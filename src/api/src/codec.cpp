@@ -6,6 +6,7 @@
 
 #include "fhg/coding/bitio.hpp"
 #include "fhg/engine/records.hpp"
+#include "fhg/engine/snapshot.hpp"
 #include "fhg/obs/registry.hpp"
 
 namespace fhg::api {
@@ -65,20 +66,8 @@ using records::read_name;
 using records::read_node;
 using records::write_name;
 
-// Blobs share the byte-aligned name layout (length, pad, raw bytes).
-
-void write_blob(BitWriter& w, std::span<const std::uint8_t> bytes) {
-  w.put_uint(bytes.size());
-  w.put_bytes(bytes);
-}
-
-std::vector<std::uint8_t> read_blob(BitReader& r, const char* what) {
-  const std::uint64_t length = r.get_uint();
-  check_count(r, length, 8, what);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(length));
-  r.get_bytes(bytes);
-  return bytes;
-}
+/// The api writes and reads specs in the snapshot-v2 layout.
+constexpr std::uint64_t kApiSpecLayout = engine::kSnapshotVersionV2;
 
 // -- Stats payloads -----------------------------------------------------------
 
@@ -251,11 +240,11 @@ void write_request_body(BitWriter& w, const Request& request) {
           write_name(w, r.instance);
           w.put_uint(r.nodes);
           records::write_edges(w, r.edges);
-          records::write_spec(w, r.spec, records::kApiSpecLayout);
+          records::write_spec(w, r.spec, kApiSpecLayout);
         } else if constexpr (std::is_same_v<R, EraseInstanceRequest>) {
           write_name(w, r.instance);
         } else if constexpr (std::is_same_v<R, RestoreRequest>) {
-          write_blob(w, r.bytes);
+          records::write_bytes(w, r.bytes);
         } else if constexpr (std::is_same_v<R, GetStatsRequest>) {
           w.put_bit(r.include_histograms);
           w.put_bit(r.include_traces);
@@ -263,7 +252,7 @@ void write_request_body(BitWriter& w, const Request& request) {
           write_name(w, r.instance);
         } else if constexpr (std::is_same_v<R, RestoreInstanceRequest>) {
           write_name(w, r.instance);
-          write_blob(w, r.bytes);
+          records::write_bytes(w, r.bytes);
         } else if constexpr (std::is_same_v<R, DrainBackendRequest>) {
           write_name(w, r.backend);
         } else {
@@ -313,7 +302,7 @@ Request read_request_body(BitReader& r, std::uint64_t version) {
       req.instance = read_name(r, "instance name byte");
       req.nodes = read_node(r);
       req.edges = records::read_edges(r);
-      req.spec = records::read_spec(r, records::kApiSpecLayout);
+      req.spec = records::read_spec(r, kApiSpecLayout);
       return req;
     }
     case 4: {
@@ -327,7 +316,7 @@ Request read_request_body(BitReader& r, std::uint64_t version) {
       return SnapshotRequest{};
     case 7: {
       RestoreRequest req;
-      req.bytes = read_blob(r, "snapshot byte");
+      req.bytes = records::read_bytes<std::vector<std::uint8_t>>(r, "snapshot byte");
       return req;
     }
     case 8: {
@@ -348,7 +337,7 @@ Request read_request_body(BitReader& r, std::uint64_t version) {
     case 12: {
       RestoreInstanceRequest req;
       req.instance = read_name(r, "instance name byte");
-      req.bytes = read_blob(r, "snapshot byte");
+      req.bytes = records::read_bytes<std::vector<std::uint8_t>>(r, "snapshot byte");
       return req;
     }
     case 13: {
@@ -388,7 +377,7 @@ void write_response_body(BitWriter& w, const Response& response) {
             w.put_bit(info.dynamic);
           }
         } else if constexpr (std::is_same_v<P, SnapshotResponse>) {
-          write_blob(w, p.bytes);
+          records::write_bytes(w, p.bytes);
         } else if constexpr (std::is_same_v<P, RestoreResponse>) {
           w.put_uint(p.instances);
         } else if constexpr (std::is_same_v<P, GetStatsResponse>) {
@@ -412,7 +401,7 @@ void write_response_body(BitWriter& w, const Response& response) {
           w.put_uint(p.min_version);
           w.put_uint(p.max_version);
         } else if constexpr (std::is_same_v<P, SnapshotInstanceResponse>) {
-          write_blob(w, p.bytes);
+          records::write_bytes(w, p.bytes);
         } else if constexpr (std::is_same_v<P, RestoreInstanceResponse>) {
           w.put_bit(p.replaced);
         } else if constexpr (std::is_same_v<P, DrainBackendResponse>) {
@@ -488,7 +477,7 @@ Response read_response_body(BitReader& r, std::uint64_t version) {
     }
     case 7: {
       SnapshotResponse p;
-      p.bytes = read_blob(r, "snapshot byte");
+      p.bytes = records::read_bytes<std::vector<std::uint8_t>>(r, "snapshot byte");
       response.payload = std::move(p);
       break;
     }
@@ -532,7 +521,7 @@ Response read_response_body(BitReader& r, std::uint64_t version) {
     }
     case 12: {
       SnapshotInstanceResponse p;
-      p.bytes = read_blob(r, "snapshot byte");
+      p.bytes = records::read_bytes<std::vector<std::uint8_t>>(r, "snapshot byte");
       response.payload = std::move(p);
       break;
     }

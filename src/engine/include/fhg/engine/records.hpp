@@ -11,7 +11,7 @@
 ///
 /// | record          | layout                                                   |
 /// |-----------------|----------------------------------------------------------|
-/// | name            | length, zero pad to a byte boundary, raw bytes (api, WAL) |
+/// | byte field      | length, zero pad to a byte boundary, raw bytes (names in api and WAL, api blobs) |
 /// | serial name     | length, then 8 bits per byte, unaligned (snapshots)      |
 /// | spec            | kind, code, seed, [slack: v2+], [crossover, bulk: v3+], period count, periods |
 /// | command run     | count, then op, stamp, u, v per command                  |
@@ -29,6 +29,7 @@
 /// `coding::DecodeError`, and nothing is allocated from an unchecked count.
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <string_view>
@@ -41,9 +42,6 @@
 #include "fhg/graph/graph.hpp"
 
 namespace fhg::engine::records {
-
-/// The spec layout the api wire codec uses: the snapshot-v2 layout.
-inline constexpr std::uint64_t kApiSpecLayout = 2;
 
 /// How a command run writes its holiday stamps.
 enum class Stamps : std::uint8_t {
@@ -65,12 +63,47 @@ struct CommittedBatch {
 /// Reads an enum codeword, throwing when it is `bound` or above.
 [[nodiscard]] std::uint64_t read_enum(coding::BitReader& r, std::uint64_t bound,
                                       const char* what);
-/// Reads a node id, throwing when it does not fit `graph::NodeId`.
-[[nodiscard]] graph::NodeId read_node(coding::BitReader& r);
 
-void write_name(coding::BitWriter& w, std::string_view name);
+/// Throws the out-of-range `DecodeError` for a decoded node id `value`.
+[[noreturn]] void fail_node_range(std::uint64_t value);
+
+// The field codecs on every request's path (node ids, names, blobs) are
+// inline so the api codec in another library compiles them in place.
+
+/// Reads a node id, throwing when it does not fit `graph::NodeId`.
+[[nodiscard]] inline graph::NodeId read_node(coding::BitReader& r) {
+  const std::uint64_t value = r.get_uint();
+  if (value > std::numeric_limits<graph::NodeId>::max()) {
+    fail_node_range(value);
+  }
+  return static_cast<graph::NodeId>(value);
+}
+
+/// Byte-aligned fields move at memcpy speed for at most seven padding bits.
+inline void write_bytes(coding::BitWriter& w, std::span<const std::uint8_t> bytes) {
+  w.put_uint(bytes.size());
+  w.put_bytes(bytes);
+}
+
+/// Reads a byte field into a `std::string` or a `std::vector<std::uint8_t>`;
 /// `what` names one byte of the field in the implausible-length error.
-[[nodiscard]] std::string read_name(coding::BitReader& r, const char* what);
+template <class Bytes>
+[[nodiscard]] Bytes read_bytes(coding::BitReader& r, const char* what) {
+  const std::uint64_t length = r.get_uint();
+  coding::check_count(r, length, 8, what);
+  Bytes bytes;
+  bytes.resize(static_cast<std::size_t>(length));
+  r.get_bytes({reinterpret_cast<std::uint8_t*>(bytes.data()), bytes.size()});
+  return bytes;
+}
+
+inline void write_name(coding::BitWriter& w, std::string_view name) {
+  write_bytes(w, {reinterpret_cast<const std::uint8_t*>(name.data()), name.size()});
+}
+
+[[nodiscard]] inline std::string read_name(coding::BitReader& r, const char* what) {
+  return read_bytes<std::string>(r, what);
+}
 void write_serial_name(coding::BitWriter& w, std::string_view name);
 [[nodiscard]] std::string read_serial_name(coding::BitReader& r);
 

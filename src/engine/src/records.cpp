@@ -30,27 +30,8 @@ std::uint64_t read_enum(BitReader& r, std::uint64_t bound, const char* what) {
   return value;
 }
 
-graph::NodeId read_node(BitReader& r) {
-  const std::uint64_t v = r.get_uint();
-  if (v > std::numeric_limits<graph::NodeId>::max()) {
-    fail("node id " + std::to_string(v) + " out of NodeId range");
-  }
-  return static_cast<graph::NodeId>(v);
-}
-
-// Byte-aligned names move at memcpy speed for at most seven padding bits.
-
-void write_name(BitWriter& w, std::string_view name) {
-  w.put_uint(name.size());
-  w.put_bytes({reinterpret_cast<const std::uint8_t*>(name.data()), name.size()});
-}
-
-std::string read_name(BitReader& r, const char* what) {
-  const std::uint64_t length = r.get_uint();
-  check_count(r, length, 8, what);
-  std::string name(static_cast<std::size_t>(length), '\0');
-  r.get_bytes({reinterpret_cast<std::uint8_t*>(name.data()), name.size()});
-  return name;
+void fail_node_range(std::uint64_t value) {
+  fail("node id " + std::to_string(value) + " out of NodeId range");
 }
 
 void write_serial_name(BitWriter& w, std::string_view name) {

@@ -1,5 +1,6 @@
 #include "fhg/engine/snapshot.hpp"
 
+#include <stdexcept>
 #include <string>
 
 #include "fhg/engine/records.hpp"
@@ -86,19 +87,26 @@ Parsed read_instance(coding::BitReader& r, std::uint64_t version) {
 
 /// Builds a live instance from a parsed record: construct the recipe state,
 /// replay the mutation log through the recorded batch paths, fast-forward.
+/// A record that parses can still describe a tenant the schedulers refuse
+/// (a spec the factory rejects, a log command past the node count); that is
+/// a decode failure too, not the builders' `std::invalid_argument`.
 std::shared_ptr<Instance> build_instance(Parsed&& p) {
-  auto instance =
-      std::make_shared<Instance>(std::move(p.name), std::move(p.graph), std::move(p.spec));
-  if (!p.log.empty()) {
-    // Replay the mutation log over the freshly built recipe state: every
-    // recolor decision is deterministic, so this lands on the identical
-    // coloring and slots the snapshotted tenant had.  The batch records
-    // (v3) route each segment through the path the live tenant took;
-    // pre-v3 logs replay per command, which is how they were applied.
-    detail::SnapshotReplay::replay(*instance, p.log, p.batches);
+  try {
+    auto instance =
+        std::make_shared<Instance>(std::move(p.name), std::move(p.graph), std::move(p.spec));
+    if (!p.log.empty()) {
+      // Replay the mutation log over the freshly built recipe state: every
+      // recolor decision is deterministic, so this lands on the identical
+      // coloring and slots the snapshotted tenant had.  The batch records
+      // (v3) route each segment through the path the live tenant took;
+      // pre-v3 logs replay per command, which is how they were applied.
+      detail::SnapshotReplay::replay(*instance, p.log, p.batches);
+    }
+    instance->fast_forward(p.holiday);
+    return instance;
+  } catch (const std::invalid_argument& e) {
+    fail(std::string("instance does not build: ") + e.what());
   }
-  instance->fast_forward(p.holiday);
-  return instance;
 }
 
 /// Shared header parse: magic, version.

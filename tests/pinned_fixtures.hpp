@@ -141,6 +141,9 @@ class TempDir {
   TempDir& operator=(const TempDir&) = delete;
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
+  [[nodiscard]] std::string sub(const std::string& name) const {
+    return (std::filesystem::path(path_) / name).string();
+  }
 
  private:
   std::string path_;

@@ -865,6 +865,47 @@ TEST(SnapshotV3, NonCanonicalEdgeStreamsFailTyped) {
                fc::DecodeError);
 }
 
+TEST(SnapshotV3, OutOfRangeLogCommandFailsTyped) {
+  // A v3 blob of dynamic tenant "x" on 4 edgeless nodes whose log is one
+  // per-command batch: insert edge {0, v} at holiday 0.
+  const auto blob_inserting = [](std::uint64_t v) {
+    fc::BitWriter w;
+    w.put_bits(0x46484753, 32);  // "FHGS"
+    w.put_uint(3);               // version
+    w.put_uint(1);               // instance count
+    w.put_uint(1);
+    w.put_bits('x', 8);
+    w.put_uint(static_cast<std::uint64_t>(fe::SchedulerKind::kDynamicPrefixCode));
+    for (int field = 0; field < 6; ++field) {
+      w.put_uint(0);  // code, seed, slack, crossover, bulk, period count
+    }
+    w.put_uint(4);  // nodes
+    w.put_uint(0);  // edges
+    w.put_uint(0);  // holiday
+    w.put_uint(1);  // log: one command
+    w.put_uint(static_cast<std::uint64_t>(fdy::MutationOp::kInsertEdge));
+    w.put_uint(0);  // holiday delta
+    w.put_uint(0);
+    w.put_uint(v);
+    w.put_uint(1);  // batch records: one, of size 1, per command
+    w.put_uint(1);
+    w.put_bit(false);
+    return w.finish();
+  };
+  const auto in_range = blob_inserting(3);
+  EXPECT_EQ(fe::snapshot_instance(*fe::restore_instance(in_range)), in_range);
+
+  // Past n the blob still parses; the replay refuses the command, and the
+  // restore reports that as a decode failure, not std::invalid_argument.
+  const auto past_n = blob_inserting(5);
+  EXPECT_THROW((void)fe::restore_instance(past_n), fc::DecodeError);
+  fe::InstanceRegistry registry(2);
+  (void)registry.create("keep", fg::path(4), spec_of(fe::SchedulerKind::kRoundRobin));
+  EXPECT_THROW(fe::restore_registry(registry, past_n), fc::DecodeError);
+  EXPECT_EQ(registry.size(), 1U);
+  EXPECT_NE(registry.find("keep"), nullptr);
+}
+
 TEST(SnapshotV2, TruncationAndCorruptionFailTyped) {
   fe::Engine eng;
   (void)eng.create_instance("dyn", fg::cycle(8), spec_of(fe::SchedulerKind::kDynamicPrefixCode));

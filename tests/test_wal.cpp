@@ -11,8 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -53,33 +51,8 @@ namespace {
 
 namespace stdfs = std::filesystem;
 
-/// A mkdtemp-owned scratch directory, removed on scope exit.
-class TempDir {
- public:
-  TempDir() {
-    std::string tmpl = (stdfs::temp_directory_path() / "fhg-wal-XXXXXX").string();
-    std::vector<char> buffer(tmpl.begin(), tmpl.end());
-    buffer.push_back('\0');
-    if (::mkdtemp(buffer.data()) == nullptr) {
-      throw std::runtime_error("mkdtemp failed for " + tmpl);
-    }
-    path_ = buffer.data();
-  }
-  ~TempDir() {
-    std::error_code ec;
-    stdfs::remove_all(path_, ec);
-  }
-  TempDir(const TempDir&) = delete;
-  TempDir& operator=(const TempDir&) = delete;
-
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-  [[nodiscard]] std::string sub(const std::string& name) const {
-    return (stdfs::path(path_) / name).string();
-  }
-
- private:
-  std::string path_;
-};
+using fhg::testing::read_file;
+using fhg::testing::TempDir;
 
 fe::InstanceSpec dynamic_spec(std::uint32_t bulk_threshold = fe::kDefaultBulkThreshold) {
   fe::InstanceSpec spec;
@@ -113,11 +86,6 @@ std::vector<std::size_t> record_ends(const std::vector<std::uint8_t>& bytes) {
     ends.push_back(off);
   }
   return ends;
-}
-
-std::vector<std::uint8_t> read_bytes(const stdfs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 void write_bytes(const stdfs::path& path, std::span<const std::uint8_t> bytes) {
@@ -339,7 +307,7 @@ TEST(WalManager, ReplayIsIdempotentOverDoubleCoveredSegments) {
     (void)engine->apply_mutations("dyn", std::vector{fdy::insert_edge_command(0, 1)});
     (void)engine->apply_mutations("dyn", std::vector{fdy::insert_edge_command(2, 3)});
     segment = segment_paths(dir.path()).at(0);
-    segment_copy = read_bytes(segment);
+    segment_copy = read_file(segment);
     manager.compact();  // deletes the segment; the snapshot now covers it
     reference = state_of(*engine);
     engine->attach_wal(nullptr);
@@ -412,8 +380,8 @@ TEST(WalManager, TornTailTruncationIsExactAtEveryByteBoundary) {
     engine->attach_wal(nullptr);
     const stdfs::path segment = segment_paths(base.path()).at(0);
     segment_name = segment.filename().string();
-    segment_bytes = read_bytes(segment);
-    snapshot_bytes = read_bytes(stdfs::path(base.path()) / "snapshot.fhg");
+    segment_bytes = read_file(segment);
+    snapshot_bytes = read_file(stdfs::path(base.path()) / "snapshot.fhg");
   }
   const std::vector<std::size_t> ends = record_ends(segment_bytes);
   ASSERT_EQ(ends.size(), kBatches);
@@ -471,7 +439,7 @@ TEST(WalManager, RecoveryTruncatesTheTornTailOnDisk) {
     engine->attach_wal(nullptr);
   }
   const stdfs::path segment = segment_paths(dir.path()).at(0);
-  std::vector<std::uint8_t> bytes = read_bytes(segment);
+  std::vector<std::uint8_t> bytes = read_file(segment);
   const std::vector<std::size_t> ends = record_ends(bytes);
   ASSERT_EQ(ends.size(), 2u);
   bytes.resize(ends[0] + 3);  // tear 3 bytes into the second record
@@ -523,7 +491,7 @@ TEST(WalManager, DamageInASealedSegmentIsCorruptionNotATornTail) {
   }
   ASSERT_EQ(segment_paths(dir.path()).size(), 2u);
 
-  std::vector<std::uint8_t> bytes = read_bytes(sealed);
+  std::vector<std::uint8_t> bytes = read_file(sealed);
   bytes[bytes.size() - 1] ^= 0xFF;  // flip a payload byte: CRC mismatch
   write_bytes(sealed, bytes);
 
