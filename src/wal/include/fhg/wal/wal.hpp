@@ -6,8 +6,8 @@
 /// `Manager` implements `engine::WalSink`: once attached via
 /// `Engine::attach_wal`, every committed `ApplyMutations` batch is appended
 /// (the `engine::records` committed-batch payload, CRC-framed) to one of
-/// `shards` log files *before* the
-/// period table republishes — durable-then-visible.  Restart recovery
+/// `shards` log files *before* the period table republishes —
+/// durable-then-visible.  Restart recovery
 /// (`recover()`) loads the newest base snapshot, replays every durable batch
 /// through the bulk/in-place path its record names, skips batches the
 /// snapshot already contains (per-instance `batch_index` sequence numbers
